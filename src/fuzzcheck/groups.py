@@ -55,7 +55,6 @@ class FiniteGroup:
                 break
         if identity is None:
             raise ValueError("table has no identity element")
-        ei = carrier.index(identity)
         inverses = []
         for i, x in enumerate(carrier.elements):
             inv = next(
@@ -66,7 +65,6 @@ class FiniteGroup:
             if inv is None:
                 raise ValueError(f"element {x!r} has no inverse")
             inverses.append(inv)
-        del ei
         return cls(carrier, rows, identity, tuple(inverses))
 
     def op(self, a, b):

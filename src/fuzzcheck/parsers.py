@@ -8,7 +8,6 @@ and the expected token.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from .errors import ParseError
 from .groups import EquivalenceRelation, FiniteAction, FiniteGroup
@@ -19,8 +18,12 @@ from .lie import (
     SampleSet,
     StructureConstants,
 )
-from .sets import Carrier, FuzzySet, parse_grade
+from .sets import Carrier, FuzzySet, parse_grade, parse_rational
 from .topology import GradeLattice
+
+# Largest Lie algebra dimension accepted: the structure constants are held
+# as a dense dim^3 table, and every check walks at least that many entries.
+MAX_STRUCTURE_DIM = 100
 
 
 def _lines(path):
@@ -248,6 +251,8 @@ def load_structure_constants(path) -> StructureConstants:
                 raise ParseError(path, no, "expected 'dim n'") from None
             if dim < 1:
                 raise ParseError(path, no, "dimension must be positive")
+            if dim > MAX_STRUCTURE_DIM:
+                raise ParseError(path, no, f"dimension exceeds {MAX_STRUCTURE_DIM}")
             continue
         if dim is None:
             raise ParseError(path, no, "expected 'dim n' first")
@@ -255,7 +260,7 @@ def load_structure_constants(path) -> StructureConstants:
             raise ParseError(path, no, "expected 'i j k value'")
         try:
             i, j, k = (int(p) for p in parts[:3])
-            value = Fraction(parts[3])
+            value = parse_rational(parts[3])
         except (ValueError, ZeroDivisionError):
             raise ParseError(path, no, "expected 'i j k value'") from None
         if not all(1 <= idx <= dim for idx in (i, j, k)):
@@ -333,14 +338,14 @@ def load_samples(path, dim: int) -> SampleSet:
             if len(parts) != dim + 1:
                 raise ParseError(path, no, f"expected {dim} coordinates")
             try:
-                vectors.append(tuple(Fraction(p) for p in parts[1:]))
+                vectors.append(tuple(parse_rational(p) for p in parts[1:]))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(path, no, "bad rational coordinate") from None
         elif parts[0] == "scalar":
             if len(parts) != 2:
                 raise ParseError(path, no, "expected 'scalar value'")
             try:
-                scalars.append(Fraction(parts[1]))
+                scalars.append(parse_rational(parts[1]))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(path, no, "bad rational scalar") from None
         else:

@@ -28,8 +28,30 @@ def as_grade(value) -> Fraction:
     return g
 
 
+# Largest decimal exponent a literal may carry.  Fraction expands the
+# exponent into an integer power of ten, so `1e-10000000` would take seconds
+# and megabytes before any range check could reject it.
+MAX_DECIMAL_EXPONENT = 1000
+
+
+def _check_exponent(text: str) -> None:
+    _, e, exponent = text.strip().lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdigit() and (
+        len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+    ):
+        raise ValueError(f"exponent of {text.strip()!r} exceeds {MAX_DECIMAL_EXPONENT}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p/q', an integer, or a decimal literal as an exact rational."""
+    _check_exponent(text)
+    return Fraction(text.strip())
+
+
 def parse_grade(text: str) -> Fraction:
     """Parse 'p/q', an integer, or a decimal literal as an exact grade."""
+    _check_exponent(text)
     try:
         g = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -115,6 +137,15 @@ class FuzzySet:
         if len(grades) != len(self.carrier):
             raise ValueError("one grade per carrier element required")
         object.__setattr__(self, "grades", grades)
+
+    @classmethod
+    def _trusted(cls, carrier: Carrier, grades: tuple) -> "FuzzySet":
+        """Build from a tuple of Fractions already known to lie in [0,1], one
+        per carrier element, without re-validating each grade."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "carrier", carrier)
+        object.__setattr__(s, "grades", grades)
+        return s
 
     @classmethod
     def from_map(cls, carrier: Carrier, mapping, default=ZERO) -> "FuzzySet":

@@ -7,22 +7,20 @@ so arbitrary unions reduce to pairwise ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import CarrierMismatchError, DominationError, ResourceCapError
 from .maps import ProperFunction, classify, image, preimage
-from .sets import (
-    FuzzySet,
-    Verdict,
-    complement_in,
-    format_grade,
-    intersection,
-    is_subset,
-    union,
-)
 
-DEFAULT_LATTICE_Q = 100
+# `union`, `intersection`, `image` and `preimage` stay bound in this module
+# even where unused: perfbench/tracing.py counts their calls by wrapping
+# these module attributes.
+from .sets import FuzzySet, Verdict, format_grade, intersection, is_subset, union  # noqa: F401
+
 DEFAULT_CLOSURE_CAP = 10**6
 
 
@@ -50,6 +48,55 @@ def _canon_key(s: FuzzySet):
     return s.grades
 
 
+class _IntView:
+    """A topology as the scans see it.
+
+    Grades become numerators over one scale: the lcm of q and every
+    denominator in the ambient and the opens, because a --literal family may
+    hold grades off the lattice.  Each open also gets an int code: per
+    coordinate, the rank r of its numerator among the values the opens take
+    there, written as r one-bits (a thermometer code).  The code of a
+    pointwise max of two opens is then the OR of their codes, and of a
+    pointwise min the AND.
+    """
+
+    def __init__(self, tau: "FuzzyTopology"):
+        carrier = tau.ambient.carrier
+        if any(s.carrier != carrier for s in tau.opens):
+            raise CarrierMismatchError("an open lives on another carrier than the ambient set")
+        self.scale = scale = math.lcm(
+            tau.lattice.q,
+            *{g.denominator for s in (tau.ambient, *tau.opens) for g in s.grades},
+        )
+
+        def numerators(s):
+            return tuple(g.numerator * (scale // g.denominator) for g in s.grades)
+
+        self.ambient = numerators(tau.ambient)
+        ordered = sorted(zip(map(numerators, tau.opens), tau.opens), key=itemgetter(0))
+        self.opens = [s for _, s in ordered]  # sorted_opens() order
+        self.keys = [k for k, _ in ordered]  # numerators, aligned with `opens`
+        self.bits = []  # per coordinate: numerator -> its bits in a code
+        offset = 0
+        for i in range(len(carrier)):
+            values = sorted({k[i] for k in self.keys})
+            self.bits.append({x: ((1 << r) - 1) << offset for r, x in enumerate(values)})
+            offset += max(len(values) - 1, 0)
+        self.codes = [self.code(k) for k in self.keys]  # aligned with `opens`
+        self.codeset = frozenset(self.codes)
+
+    def code(self, key: tuple):
+        """The code of a numerator tuple; None when some coordinate holds a
+        value no open holds there."""
+        try:
+            return sum(b[x] for b, x in zip(self.bits, key))
+        except KeyError:
+            return None
+
+    def is_open(self, key: tuple) -> bool:
+        return self.code(key) in self.codeset
+
+
 @dataclass(frozen=True)
 class FuzzyTopology:
     ambient: FuzzySet
@@ -60,10 +107,34 @@ class FuzzyTopology:
         """Opens in a canonical order (by grade tuple); used for determinism."""
         return sorted(self.opens, key=_canon_key)
 
+    @cached_property
+    def _ints(self) -> _IntView:
+        return _IntView(self)
+
 
 def cut(ambient: FuzzySet, t: Fraction) -> FuzzySet:
     """The constant t intersected with the ambient set."""
     return FuzzySet(ambient.carrier, tuple(min(t, g) for g in ambient.grades))
+
+
+def _closure(top: tuple, generators, q: int, cap: int) -> set:
+    """The sublattice of {0..q}^n generated by the generators and every cut
+    min(t, top), as numerator tuples.  {0..q}^n is distributive, so that is
+    the set of joins of meets of those seeds: close under meet, then under
+    join.  Both passes grow subsets of the result, so the cap fires exactly
+    when the closure has more than `cap` members."""
+    seeds = {tuple(min(t, a) for a in top) for t in range(q + 1)}
+    seeds.update(generators)
+
+    def close(family, by, op):
+        for s in by:
+            family |= {tuple(map(op, f, s)) for f in family}
+            if len(family) > cap:
+                raise ResourceCapError(f"topology closure exceeded cap of {cap} opens")
+        return family
+
+    meets = close({top}, seeds, min)
+    return close({(0,) * len(top)}, meets, max)
 
 
 def generate(
@@ -87,44 +158,41 @@ def generate(
         if not lattice.contains_set(g):
             raise ValueError("generator grade outside the lattice")
 
-    family = {cut(ambient, t) for t in lattice.members()}
-    family.update(generators)
-    if len(family) > cap:
-        raise ResourceCapError(f"topology closure exceeded cap of {cap} opens")
-    frontier = list(family)
-    while frontier:
-        new = []
-        members = sorted(family, key=_canon_key)
-        for a in frontier:
-            for b in members:
-                for c in (union([a, b]), intersection([a, b])):
-                    if c not in family:
-                        family.add(c)
-                        new.append(c)
-                        if len(family) > cap:
-                            raise ResourceCapError(
-                                f"topology closure exceeded cap of {cap} opens"
-                            )
-        frontier = new
-    return FuzzyTopology(ambient, frozenset(family), lattice)
+    q = lattice.q
+
+    def numerators(s):
+        return tuple(g.numerator * (q // g.denominator) for g in s.grades)
+
+    grade = lattice.members()
+    carrier = ambient.carrier
+    opens = frozenset(
+        FuzzySet._trusted(carrier, tuple(grade[k] for k in key))
+        for key in _closure(numerators(ambient), map(numerators, generators), q, cap)
+    )
+    return FuzzyTopology(ambient, opens, lattice)
 
 
 def verify_axioms(tau: FuzzyTopology) -> Verdict:
     """Constant cuts present, closed under pairwise union and intersection."""
-    opens = tau.sorted_opens()
-    open_set = tau.opens
-    for t in tau.lattice.members():
-        if cut(tau.ambient, t) not in open_set:
+    v = tau._ints
+    step = v.scale // tau.lattice.q
+    for k, t in enumerate(tau.lattice.members()):
+        if not v.is_open(tuple(min(k * step, a) for a in v.ambient)):
             return Verdict.failed(
                 f"constant cut t={format_grade(t)} missing", witness=("cut", t)
             )
-    for i, a in enumerate(opens):
-        for b in opens[i:]:
-            if union([a, b]) not in open_set:
-                return Verdict.failed("union of two opens missing", witness=("union", a, b))
-            if intersection([a, b]) not in open_set:
+    codes, codeset, opens = v.codes, v.codeset, v.opens
+    for i, a in enumerate(codes):
+        for j in range(i, len(codes)):
+            b = codes[j]
+            if a | b not in codeset:
                 return Verdict.failed(
-                    "intersection of two opens missing", witness=("intersection", a, b)
+                    "union of two opens missing", witness=("union", opens[i], opens[j])
+                )
+            if a & b not in codeset:
+                return Verdict.failed(
+                    "intersection of two opens missing",
+                    witness=("intersection", opens[i], opens[j]),
                 )
     return Verdict.passed()
 
@@ -159,48 +227,57 @@ def product_topology(tau1: FuzzyTopology, tau2: FuzzyTopology) -> FuzzyTopology:
     return generate(ambient, base, tau1.lattice)
 
 
-def _lattice_heights(tau: FuzzyTopology, top: Fraction):
-    return [t for t in tau.lattice.members() if 0 < t <= top]
+def _heights(tau: FuzzyTopology) -> list:
+    """For each carrier element x, the lattice heights 0 < t <= ambient(x),
+    as (numerator over the view's scale, t)."""
+    v = tau._ints
+    step = v.scale // tau.lattice.q
+    ladder = [(k * step, t) for k, t in enumerate(tau.lattice.members()) if k]
+    return [[(p, t) for p, t in ladder if p <= top] for top in v.ambient]
 
 
 def is_T1(tau: FuzzyTopology) -> Verdict:
     """Every fuzzy point (lattice heights up to the ambient grade) is closed,
     i.e. its complement within the ambient set is open."""
-    mu = tau.ambient
-    for x in mu.carrier:
-        for p in _lattice_heights(tau, mu(x)):
-            pt = FuzzySet.point(mu.carrier, x, p)
-            if complement_in(mu, pt) not in tau.opens:
+    v = tau._ints
+    for xi, (x, heights) in enumerate(zip(tau.ambient.carrier, _heights(tau))):
+        for p, t in heights:
+            rest = list(v.ambient)
+            rest[xi] -= p
+            if not v.is_open(tuple(rest)):
                 return Verdict.failed(
-                    f"point {x!r} at height {format_grade(p)} is not closed",
-                    witness=(x, p),
+                    f"point {x!r} at height {format_grade(t)} is not closed",
+                    witness=(x, t),
                 )
     return Verdict.passed()
 
 
 def is_hausdorff(tau: FuzzyTopology) -> Verdict:
-    """Distinct fuzzy points separated by disjoint opens containing them."""
-    mu = tau.ambient
-    opens = tau.sorted_opens()
-    zero_grades = (Fraction(0),) * len(mu.carrier)
-    # Opens containing each (x, p): p <= u(x).
-    for xi, x in enumerate(mu.carrier):
-        for p in _lattice_heights(tau, mu(x)):
-            us = [u for u in opens if u.grades[xi] >= p]
-            for yi, y in enumerate(mu.carrier):
+    """Distinct fuzzy points separated by disjoint opens containing them.
+    Two opens are disjoint exactly when their supports are, so each open is
+    reduced to the bitmask of its support."""
+    v = tau._ints
+    carrier = tau.ambient.carrier
+    heights = _heights(tau)
+    supports = [sum(1 << i for i, g in enumerate(key) if g) for key in v.keys]
+    # Distinct supports of the opens containing each fuzzy point (x, p): p <= u(x).
+    around = {
+        (xi, p): {m for m, key in zip(supports, v.keys) if key[xi] >= p}
+        for xi, hs in enumerate(heights)
+        for p, _ in hs
+    }
+    for xi, x in enumerate(carrier):
+        for p, tp in heights[xi]:
+            us = around[xi, p]
+            for yi, y in enumerate(carrier):
                 if y == x:
                     continue
-                for q in _lattice_heights(tau, mu(y)):
-                    vs = [v for v in opens if v.grades[yi] >= q]
-                    if not any(
-                        intersection([u, v]).grades == zero_grades
-                        for u in us
-                        for v in vs
-                    ):
+                for q, tq in heights[yi]:
+                    if not any(not u & w for u in us for w in around[yi, q]):
                         return Verdict.failed(
-                            f"points {x!r}@{format_grade(p)} and {y!r}@{format_grade(q)} "
+                            f"points {x!r}@{format_grade(tp)} and {y!r}@{format_grade(tq)} "
                             "admit no disjoint opens",
-                            witness=((x, p), (y, q)),
+                            witness=((x, tp), (y, tq)),
                         )
     return Verdict.passed()
 

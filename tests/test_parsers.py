@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from fuzzcheck.errors import ParseError
 from fuzzcheck.groups import cyclic_group, validate_group, verify_action
 from fuzzcheck.lie import bracket, validate_lie
 from fuzzcheck.parsers import (
+    MAX_STRUCTURE_DIM,
     load_action,
     load_chart_table,
     load_classifier,
@@ -17,7 +19,7 @@ from fuzzcheck.parsers import (
     load_structure_constants,
     load_topology,
 )
-from fuzzcheck.sets import Carrier
+from fuzzcheck.sets import MAX_DECIMAL_EXPONENT, Carrier
 
 
 def write(tmp_path, name, text):
@@ -55,6 +57,24 @@ class TestFuzzySetFile:
         path = write(tmp_path, "mu.txt", "# only a comment\n")
         with pytest.raises(ParseError):
             load_fuzzy_set(path)
+
+    def test_decimal_exponent_within_bound(self, tmp_path):
+        path = write(tmp_path, "mu.txt", f"a 1e-3\nb 1E-{MAX_DECIMAL_EXPONENT}\n")
+        mu = load_fuzzy_set(path)
+        assert mu("a") == F(1, 1000)
+        assert mu("b") == F(1, 10**MAX_DECIMAL_EXPONENT)
+
+    @pytest.mark.parametrize("literal", ["1e-10000000", "1e+10000000", "5E-1_000_000_000",
+                                         "0.5e-" + "9" * 5000])
+    def test_hostile_exponent_rejected_quickly(self, tmp_path, literal):
+        path = write(tmp_path, "mu.txt", f"a 1\nb {literal}\n")
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            load_fuzzy_set(path)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.line_no == 2
+        assert f"{path}:2:" in str(err.value)
+        assert "exponent" in str(err.value)
 
 
 class TestMapFile:
@@ -190,6 +210,26 @@ class TestStructureConstantsFile:
         with pytest.raises(ParseError):
             load_structure_constants(path)
 
+    def test_dimension_bounded(self, tmp_path):
+        path = write(tmp_path, "sc.txt", "# huge\ndim 100000000\n1 2 3 1\n")
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            load_structure_constants(path)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.line_no == 2
+        assert str(MAX_STRUCTURE_DIM) in str(err.value)
+        with pytest.raises(ParseError):
+            load_structure_constants(
+                write(tmp_path, "sc2.txt", f"dim {MAX_STRUCTURE_DIM + 1}\n"))
+
+    def test_hostile_exponent_in_value_rejected(self, tmp_path):
+        path = write(tmp_path, "sc.txt", "dim 2\n1 2 1 1e-10000000\n")
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            load_structure_constants(path)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.line_no == 2
+
 
 class TestClassifierFile:
     def test_z_axis(self, tmp_path):
@@ -232,6 +272,14 @@ class TestSamplesFile:
     def test_zero_vector_required(self, tmp_path):
         with pytest.raises(ParseError):
             load_samples(write(tmp_path, "s.txt", "vector 1 0\n"), 2)
+
+    def test_hostile_exponent_rejected(self, tmp_path):
+        for text in ("vector 0 0\nvector 1 1e-10000000\n", "vector 0 0\nscalar 1e10000000\n"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError) as err:
+                load_samples(write(tmp_path, "s.txt", text), 2)
+            assert time.perf_counter() - start < 0.5
+            assert err.value.line_no == 2
 
 
 class TestChartTableFile:
