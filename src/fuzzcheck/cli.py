@@ -71,10 +71,14 @@ def _tolerances(args) -> manifold.Tolerances:
     return manifold.Tolerances(**overrides)
 
 
-def _build_topology(path, args) -> FuzzyTopology:
+def _build_topology(path, args, literal=False) -> FuzzyTopology:
+    """The topology a file generates, or with literal=True the listed family
+    itself; --lattice-q overrides the file's lattice."""
     ambient, generators, lattice = load_topology(path)
     if args.lattice_q is not None:
         lattice = GradeLattice(args.lattice_q)
+    if literal:
+        return FuzzyTopology(ambient, frozenset(generators), lattice)
     return generate(ambient, generators, lattice, cap=args.cap)
 
 
@@ -100,17 +104,11 @@ def cmd_check_homomorphism(args) -> Report:
 
 
 def cmd_check_topology(args) -> Report:
-    ambient, generators, lattice = load_topology(args.topology)
-    if args.lattice_q is not None:
-        lattice = GradeLattice(args.lattice_q)
-    if args.literal:
-        tau = FuzzyTopology(ambient, frozenset(generators), lattice)
-    else:
-        tau = generate(ambient, generators, lattice, cap=args.cap)
+    tau = _build_topology(args.topology, args, literal=args.literal)
     rep = _verdict_report("check-topology", "fuzzy-topology-axioms",
                           verify_axioms(tau), metrics={"opens": len(tau.opens)})
     if args.base:
-        base = [load_fuzzy_set(p, carrier=ambient.carrier) for p in args.base]
+        base = [load_fuzzy_set(p, carrier=tau.ambient.carrier) for p in args.base]
         bv = is_open_base(base, tau)
         rep.metrics["open_base"] = bv.ok
         if not bv.ok and rep.verdict == "pass":
@@ -119,16 +117,16 @@ def cmd_check_topology(args) -> Report:
     return rep
 
 
-def cmd_check_t1(args) -> Report:
+def cmd_check_separation(args) -> Report:
+    """check-t1 and check-hausdorff."""
     tau = _build_topology(args.topology, args)
-    return _verdict_report("check-t1", "fuzzy-t1-separation", is_T1(tau),
+    # Looked up at call time, as perfbench/tracing.py wraps these attributes.
+    check, provenance = {
+        "check-t1": (is_T1, "fuzzy-t1-separation"),
+        "check-hausdorff": (is_hausdorff, "fuzzy-hausdorff-separation"),
+    }[args.command]
+    return _verdict_report(args.command, provenance, check(tau),
                            metrics={"opens": len(tau.opens)})
-
-
-def cmd_check_hausdorff(args) -> Report:
-    tau = _build_topology(args.topology, args)
-    return _verdict_report("check-hausdorff", "fuzzy-hausdorff-separation",
-                           is_hausdorff(tau), metrics={"opens": len(tau.opens)})
 
 
 def cmd_check_continuity(args) -> Report:
@@ -221,7 +219,8 @@ def cmd_check_lie(args) -> Report:
                            metrics={"dim": sc.dim})
 
 
-def _lie_inputs(args):
+def cmd_check_lie_predicate(args) -> Report:
+    """check-lie-subalgebra and check-lie-ideal."""
     sc = load_structure_constants(args.constants)
     mu = load_classifier(args.classifier, sc.dim)
     if args.samples:
@@ -230,23 +229,12 @@ def _lie_inputs(args):
         _, _, samples = lie.cross_product_fixture()
         if sc.dim != 3:
             raise FuzzcheckError("--samples is required for dimensions other than 3")
-    return sc, mu, samples
-
-
-def cmd_check_lie_subalgebra(args) -> Report:
-    sc, mu, samples = _lie_inputs(args)
-    rep = _verdict_report("check-lie-subalgebra", "fuzzy-lie-subalgebra",
-                          lie.is_fuzzy_lie_subalgebra(mu, sc, samples),
-                          metrics={"sample_vectors": len(samples.vectors)})
-    if rep.verdict == "pass":
-        rep.notes.append("no violation on the sample set; not a universal proof")
-    return rep
-
-
-def cmd_check_lie_ideal(args) -> Report:
-    sc, mu, samples = _lie_inputs(args)
-    rep = _verdict_report("check-lie-ideal", "fuzzy-lie-ideal",
-                          lie.is_fuzzy_lie_ideal(mu, sc, samples),
+    # Looked up at call time, as perfbench/tracing.py wraps these attributes.
+    check, provenance = {
+        "check-lie-subalgebra": (lie.is_fuzzy_lie_subalgebra, "fuzzy-lie-subalgebra"),
+        "check-lie-ideal": (lie.is_fuzzy_lie_ideal, "fuzzy-lie-ideal"),
+    }[args.command]
+    rep = _verdict_report(args.command, provenance, check(mu, sc, samples),
                           metrics={"sample_vectors": len(samples.vectors)})
     if rep.verdict == "pass":
         rep.notes.append("no violation on the sample set; not a universal proof")
@@ -422,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify the listed family itself instead of its closure")
     p.add_argument("--base", nargs="*", default=None,
                    help="fuzzy set files to test as an open base")
-    add("check-t1", cmd_check_t1, topology={})
-    add("check-hausdorff", cmd_check_hausdorff, topology={})
+    add("check-t1", cmd_check_separation, topology={})
+    add("check-hausdorff", cmd_check_separation, topology={})
     add("check-continuity", cmd_check_continuity,
         map={}, source_topology={}, target_topology={})
     add("check-topgroup", cmd_check_topgroup, group={}, topology={})
@@ -436,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="invariant fuzzy set file")
     add("quotient", cmd_quotient, group={}, action={}, relation={})
     add("check-lie", cmd_check_lie, constants={})
-    add("check-lie-subalgebra", cmd_check_lie_subalgebra, constants={}, classifier={})
-    add("check-lie-ideal", cmd_check_lie_ideal, constants={}, classifier={})
+    add("check-lie-subalgebra", cmd_check_lie_predicate, constants={}, classifier={})
+    add("check-lie-ideal", cmd_check_lie_predicate, constants={}, classifier={})
     add("level-set", cmd_level_set, fuzzy_set={}, threshold={})
     p = add("check-atlas", cmd_check_atlas)
     p.add_argument("charts", nargs="+", help="chart table files")

@@ -10,7 +10,8 @@ on Tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import permutations, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,12 +33,13 @@ class Tolerances:
 @dataclass(frozen=True)
 class SampledChart:
     """Fuzzy chart realized numerically: membership and a coordinate
-    bijection defined on the membership's support."""
+    bijection defined on the membership's support.  A tabulated chart has
+    no inverse formula, so its coord_inverse is None."""
 
     label: str
     membership: Callable[[object], float]
     coord: Callable[[object], float]
-    coord_inverse: Callable[[float], object]
+    coord_inverse: Optional[Callable[[float], object]]
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,11 @@ class CoverReport:
 def check_cover_condition(atlas: Atlas, normalize: bool = False) -> CoverReport:
     """Per sample, 1 - sup of chart memberships.  Never repairs an atlas:
     with normalize=True each positive sup is rescaled to 1 (the intended
-    reading), otherwise the raw supremum is reported."""
+    reading), otherwise the raw supremum is reported.  Any object with
+    charts, samples and tolerances will do, such as a ProductAtlas."""
     worst, worst_point = 0.0, None
     for p in atlas.samples:
-        sup = max(chart.membership(p) for chart in atlas.charts)
-        if normalize and sup > 0.0:
-            sup = 1.0
-        deficiency = 1.0 - sup
+        deficiency = cover_deficiency_at(atlas, p, normalize)
         if deficiency > worst:
             worst, worst_point = deficiency, p
     ok = worst <= atlas.tolerances.cover_eps
@@ -82,6 +82,11 @@ def cover_deficiency_at(atlas: Atlas, point, normalize: bool = False) -> float:
     if normalize and sup > 0.0:
         sup = 1.0
     return 1.0 - sup
+
+
+def _overlap(samples, src, tgt) -> list:
+    """The samples lying in the supports of both charts, in sample order."""
+    return [p for p in samples if src.membership(p) > 0.0 and tgt.membership(p) > 0.0]
 
 
 class EmptyOverlapError(ValueError):
@@ -114,7 +119,7 @@ def transition_map(atlas: Atlas, j: int, l: int, atlas2: Optional[Atlas] = None)
     other = atlas2 if atlas2 is not None else atlas
     tgt = other.charts[l]
     tol = atlas.tolerances
-    pts = [p for p in atlas.samples if src.membership(p) > 0.0 and tgt.membership(p) > 0.0]
+    pts = _overlap(atlas.samples, src, tgt)
     if not pts:
         raise EmptyOverlapError(f"charts {src.label} and {tgt.label} do not overlap on the samples")
     coords = np.array([src.coord(p) for p in pts], dtype=float)
@@ -148,20 +153,38 @@ class C1Report:
 
 
 def _split_components(grid: np.ndarray, seams: Sequence[float]) -> list:
-    """Split a sorted grid into connected pieces at declared seams and at
-    gaps much larger than the local spacing."""
+    """Slices of a sorted grid's connected pieces, split at declared seams
+    and at gaps much larger than the local spacing."""
     if len(grid) == 0:
         return []
-    pieces, start = [], 0
     diffs = np.diff(grid)
     median = float(np.median(diffs)) if len(diffs) else 0.0
-    for i, d in enumerate(diffs):
-        crosses = any(grid[i] <= seam <= grid[i + 1] for seam in seams)
-        if crosses or (median > 0 and d > 10.0 * median):
-            pieces.append(grid[start:i + 1])
-            start = i + 1
-    pieces.append(grid[start:])
-    return [p for p in pieces if len(p) > 0]
+    cuts = [i + 1 for i, d in enumerate(diffs)
+            if any(grid[i] <= seam <= grid[i + 1] for seam in seams)
+            or (median > 0 and d > 10.0 * median)]
+    bounds = [0, *cuts, len(grid)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _first_collision(sorted_values: np.ndarray) -> Optional[int]:
+    """Index i of the first adjacent pair of a sorted array that lies at
+    most 1e-12 apart, or None when the entries are distinct."""
+    hits = np.flatnonzero(np.diff(sorted_values) <= 1e-12)
+    return int(hits[0]) if len(hits) else None
+
+
+def _jump_scan(report: C1Report, positions, derivatives, cap: float) -> Optional[int]:
+    """Index i of the first |D[i+1] - D[i]| / (s[i+1] - s[i]) above cap, or
+    None.  Raises report.max_derivative_jump to the largest jump up to and
+    including that one.  The positions must be strictly increasing, which
+    the injectivity checks before every scan guarantee."""
+    jumps = np.abs(np.diff(derivatives)) / np.diff(positions)
+    bad = np.flatnonzero(jumps > cap)
+    first = int(bad[0]) if len(bad) else None
+    scanned = jumps if first is None else jumps[:first + 1]
+    # fmax skips NaN jumps, as the comparison against the running max does.
+    report.max_derivative_jump = float(np.fmax.reduce(scanned, initial=report.max_derivative_jump))
+    return first
 
 
 def check_c1_diffeo(
@@ -187,10 +210,8 @@ def check_c1_diffeo(
         return C1Report(False, "grid too small", witness=len(grid))
     values = np.array([fn(s) for s in grid])
     order = np.argsort(values)
-    v_sorted = values[order]
-    collisions = np.where(np.diff(v_sorted) <= 1e-12)[0]
-    if len(collisions):
-        i = collisions[0]
+    i = _first_collision(values[order])
+    if i is not None:
         return C1Report(
             False,
             "not injective on the grid",
@@ -201,7 +222,8 @@ def check_c1_diffeo(
     seam_margin = tol.seam_margin_factor * tol.h0
     checked_any = False
     all_d, all_s = [], []
-    for comp in _split_components(grid, seams):
+    for piece in _split_components(grid, seams):
+        comp = grid[piece]
         span = float(comp[-1] - comp[0])
         margin = max(seam_margin, tol.edge_margin_frac * span)
         lo, hi = comp[0] + margin, comp[-1] - margin
@@ -226,17 +248,14 @@ def check_c1_diffeo(
                     witness=float(s),
                 )
             derivs.append(d4)
-        for i in range(len(pts) - 1):
-            ds = pts[i + 1] - pts[i]
-            jump = abs(derivs[i + 1] - derivs[i]) / ds if ds > 0 else 0.0
-            report.max_derivative_jump = max(report.max_derivative_jump, jump)
-            if jump > tol.lipschitz_cap:
-                return replace(
-                    report,
-                    ok=False,
-                    reason="derivative jumps between adjacent samples",
-                    witness=(pts[i], pts[i + 1]),
-                )
+        i = _jump_scan(report, pts, derivs, tol.lipschitz_cap)
+        if i is not None:
+            return replace(
+                report,
+                ok=False,
+                reason="derivative jumps between adjacent samples",
+                witness=(pts[i], pts[i + 1]),
+            )
         report.checked_points += len(pts)
         all_d.extend(derivs)
         all_s.extend(pts)
@@ -277,20 +296,17 @@ class AtlasReport:
         return self.transitions_ok and self.cover.ok
 
 
-def _factor_pairs(atlas: Atlas, atlas2: Optional[Atlas]):
-    """(source atlas index spaces) ordered chart pairs with which atlas the
-    target chart comes from."""
-    if atlas2 is None:
-        n = len(atlas.charts)
-        return [(j, l, None) for j in range(n) for l in range(n) if j != l]
-    out = [(j, l, None) for j in range(len(atlas.charts))
-           for l in range(len(atlas.charts)) if j != l]
-    out += [(j, l, "second") for j in range(len(atlas2.charts))
-            for l in range(len(atlas2.charts)) if j != l]
-    out += [(j, l, "cross") for j in range(len(atlas.charts))
-            for l in range(len(atlas2.charts))]
-    out += [(j, l, "cross_back") for j in range(len(atlas2.charts))
-            for l in range(len(atlas.charts))]
+def _factor_pairs(atlas: Atlas, atlas2: Optional[Atlas]) -> list:
+    """(source atlas, j, l, target atlas or None) for every ordered pair of
+    distinct charts within each atlas, then, with a second atlas, every pair
+    across the two in both directions.  None means the target chart l is in
+    the source atlas."""
+    atlases = (atlas,) if atlas2 is None else (atlas, atlas2)
+    out = [(a, j, l, None) for a in atlases
+           for j, l in permutations(range(len(a.charts)), 2)]
+    if atlas2 is not None:
+        out += [(a, j, l, b) for a, b in ((atlas, atlas2), (atlas2, atlas))
+                for j, l in product(range(len(a.charts)), range(len(b.charts)))]
     return out
 
 
@@ -303,15 +319,7 @@ def check_atlas(atlas: Atlas, atlas2: Optional[Atlas] = None,
     cover = check_cover_condition(atlas, normalize=normalize_cover)
     pairs = []
     ok = True
-    for j, l, kind in _factor_pairs(atlas, atlas2):
-        if kind is None:
-            src_atlas, cross = atlas, None
-        elif kind == "second":
-            src_atlas, cross = atlas2, None
-        elif kind == "cross":
-            src_atlas, cross = atlas, atlas2
-        else:
-            src_atlas, cross = atlas2, atlas
+    for src_atlas, j, l, cross in _factor_pairs(atlas, atlas2):
         try:
             tr = transition_map(src_atlas, j, l, atlas2=cross)
         except EmptyOverlapError:
@@ -429,21 +437,10 @@ def product_atlas(a: Atlas, b: Atlas) -> ProductAtlas:
     return ProductAtlas(a, b, charts, samples, a.tolerances)
 
 
-def check_product_cover(pa: ProductAtlas, normalize: bool = False) -> CoverReport:
-    worst, worst_point = 0.0, None
-    for p in pa.samples:
-        sup = max(chart.membership(p) for chart in pa.charts)
-        if normalize and sup > 0.0:
-            sup = 1.0
-        if 1.0 - sup > worst:
-            worst, worst_point = 1.0 - sup, p
-    return CoverReport(worst <= pa.tolerances.cover_eps, worst, worst_point, normalize)
-
-
 def check_product_atlas(pa: ProductAtlas, normalize_cover: bool = False) -> AtlasReport:
     """Cover on the product grid; transitions checked factor-wise, which is
     exactly what the componentwise coordinate maps decompose into."""
-    cover = check_product_cover(pa, normalize=normalize_cover)
+    cover = check_cover_condition(pa, normalize=normalize_cover)
     first = check_atlas(pa.first)
     second = check_atlas(pa.second)
     pairs = first.pairs + second.pairs
@@ -463,28 +460,26 @@ def check_c1_tabulated(coords, values, tol: Tolerances = Tolerances()) -> C1Repo
     coords, values = coords[order], values[order]
     if len(coords) < 3:
         return C1Report(False, "grid too small", witness=len(coords))
-    v_sorted = np.sort(values)
-    if np.any(np.diff(v_sorted) <= 1e-12):
-        i = int(np.where(np.diff(v_sorted) <= 1e-12)[0][0])
-        return C1Report(False, "not injective on the table", witness=float(v_sorted[i]))
+    # Equal values make the transition non-injective; equal coordinates
+    # make the chart itself non-injective, and would divide by zero below.
+    for column in (np.sort(values), coords):
+        i = _first_collision(column)
+        if i is not None:
+            return C1Report(False, "not injective on the table", witness=float(column[i]))
     report = C1Report(True)
-    for comp in _split_components(coords, ()):
+    for piece in _split_components(coords, ()):
+        comp, vals = coords[piece], values[piece]
         if len(comp) < 3:
             continue
-        idx = np.searchsorted(coords, comp)
-        d = np.diff(values[idx]) / np.diff(coords[idx])
         report.checked_points += len(comp)
-        for i in range(len(d) - 1):
-            ds = coords[idx[i + 1]] - coords[idx[i]]
-            jump = abs(d[i + 1] - d[i]) / ds if ds > 0 else 0.0
-            report.max_derivative_jump = max(report.max_derivative_jump, jump)
-            if jump > tol.lipschitz_cap:
-                return replace(
-                    report,
-                    ok=False,
-                    reason="difference quotient jumps between adjacent rows",
-                    witness=(float(coords[idx[i]]), float(coords[idx[i + 1]])),
-                )
+        i = _jump_scan(report, comp[:-1], np.diff(vals) / np.diff(comp), tol.lipschitz_cap)
+        if i is not None:
+            return replace(
+                report,
+                ok=False,
+                reason="difference quotient jumps between adjacent rows",
+                witness=(float(comp[i]), float(comp[i + 1])),
+            )
     if report.checked_points == 0:
         return C1Report(False, "grid too small", witness=len(coords))
     return report
@@ -494,40 +489,25 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
                           normalize_cover: bool = False) -> AtlasReport:
     """Atlas checks over charts given as (params, points, memberships)
     tables.  Rows are matched across charts by identical point tuples."""
-    charts = []
-    sample_order = []
-    seen = set()
-    for params, points, memberships in tables:
-        coord = dict(zip(points, params))
+    charts, samples = [], {}
+    for j, (params, points, memberships) in enumerate(tables):
         member = dict(zip(points, memberships))
-        charts.append((coord, member))
-        for p in points:
-            if p not in seen:
-                seen.add(p)
-                sample_order.append(p)
-    worst, worst_point = 0.0, None
-    for p in sample_order:
-        sup = max(member.get(p, 0.0) for _, member in charts)
-        if normalize_cover and sup > 0.0:
-            sup = 1.0
-        if 1.0 - sup > worst:
-            worst, worst_point = 1.0 - sup, p
-    cover = CoverReport(worst <= tol.cover_eps, worst, worst_point, normalize_cover)
+        charts.append(SampledChart(f"chart{j}", lambda p, member=member: member.get(p, 0.0),
+                                   dict(zip(points, params)).__getitem__, None))
+        samples.update(dict.fromkeys(points))
+    atlas = Atlas(charts, samples, tol)
+    cover = check_cover_condition(atlas, normalize=normalize_cover)
     pairs = []
     ok = True
-    for j, (coord_j, member_j) in enumerate(charts):
-        for l, (coord_l, member_l) in enumerate(charts):
-            if j == l:
-                continue
-            shared = [p for p in sample_order
-                      if member_j.get(p, 0.0) > 0.0 and member_l.get(p, 0.0) > 0.0]
-            if not shared:
-                continue
-            rep = check_c1_tabulated(
-                [coord_j[p] for p in shared], [coord_l[p] for p in shared], tol
-            )
-            pairs.append(PairCheck(f"chart{j}", f"chart{l}", rep))
-            ok = ok and rep.ok
+    for _, j, l, _ in _factor_pairs(atlas, None):
+        src, tgt = atlas.charts[j], atlas.charts[l]
+        shared = _overlap(atlas.samples, src, tgt)
+        if not shared:
+            continue
+        rep = check_c1_tabulated([src.coord(p) for p in shared],
+                                 [tgt.coord(p) for p in shared], tol)
+        pairs.append(PairCheck(src.label, tgt.label, rep))
+        ok = ok and rep.ok
     return AtlasReport(cover, pairs, ok)
 
 

@@ -5,6 +5,7 @@ every listed path must resolve on the package."""
 
 import importlib
 import os
+import random
 import sys
 
 import pytest
@@ -71,3 +72,20 @@ def test_install_wraps_and_uninstall_restores(tracing, package):
     finally:
         tracer.uninstall()
     assert {path: getattr(*tracing.resolve(package, path)) for path in paths} == before
+
+
+def test_every_span_fires_on_the_probes(tracing, package, tmp_path, monkeypatch):
+    """A handler that calls a checker through a reference taken before the
+    tracer patched its module attribute would run unrecorded: the span stays
+    empty and the per-layer metric silently reads 0."""
+    monkeypatch.chdir(tmp_path)
+    probes = [make(str(tmp_path), random.Random(i)) for i, make in enumerate(tracing.PROBES)]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(package)
+        for req in probes:
+            _, code, out = tracing.execute(package, req.argv)
+            assert tracing.bench.decided(req, code, out, b"", False), req.key
+    finally:
+        tracer.uninstall()
+    assert set(tracing.SPANS) - {span[0] for span in tracer.spans} == set()

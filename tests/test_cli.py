@@ -308,6 +308,17 @@ class TestAtlasCommand:
         assert code == 0
         assert lines_of(out)["TRANSITIONS_OK"] == "true"
 
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_param_fails_without_warnings(self, tmp_path):
+        c0 = put(tmp_path, "c0.txt", "0.1 1 1\n0.1 2 1\n0.3 3 1\n0.4 4 1\n")
+        c1 = put(tmp_path, "c1.txt", "0.1 1 1\n0.2 2 1\n0.3 3 1\n0.4 4 1\n")
+        code, out = run("check-atlas", c0, c1, "--format", "machine")
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["PAIR_CHART0_CHART1"] == "false"
+        assert fields["WITNESS_REASON"] == "not injective on the table"
+        assert fields["WITNESS_AT"] == "0.1"
+
 
 class TestWitnessSelfAudit:
     """Failure witnesses printed by the CLI must refute the property when

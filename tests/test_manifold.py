@@ -196,6 +196,13 @@ class TestTabulatedCharts:
         rep2 = check_c1_tabulated(xs, np.abs(xs - 0.5) * 100.0)
         assert not rep2.ok
 
+    def test_repeated_param_is_not_injective(self):
+        # Two rows share param 0.1, so the chart itself is not injective;
+        # a difference quotient over them would be 0/0.
+        rep = check_c1_tabulated([0.1, 0.1, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0])
+        assert not rep.ok and rep.reason == "not injective on the table"
+        assert rep.witness == 0.1
+
 
 class TestNumericRank:
     def test_identity_full_rank(self):
