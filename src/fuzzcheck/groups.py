@@ -90,13 +90,19 @@ def validate_group(group: FiniteGroup) -> Verdict:
             return Verdict.failed(f"identity law fails at {x!r}", witness=x)
         if group.op(x, group.inv(x)) != e or group.op(group.inv(x), x) != e:
             return Verdict.failed(f"inverse law fails at {x!r}", witness=x)
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                if group.op(group.op(a, b), c) != group.op(a, group.op(b, c)):
-                    return Verdict.failed(
-                        f"associativity fails at ({a!r},{b!r},{c!r})", witness=(a, b, c)
-                    )
+    # Associativity row by row on the index table: for each (a, b), the
+    # row of ab must equal a times the row of b.
+    index = group.carrier.index
+    table = [tuple(map(index, row)) for row in group.table]
+    for a, row_a in enumerate(table):
+        for b, ab in enumerate(row_a):
+            left, right = table[ab], tuple(map(row_a.__getitem__, table[b]))
+            if left != right:
+                c = next(c for c, (l, r) in enumerate(zip(left, right)) if l != r)
+                witness = (elems[a], elems[b], elems[c])
+                return Verdict.failed(
+                    "associativity fails at ({!r},{!r},{!r})".format(*witness), witness=witness
+                )
     return Verdict.passed()
 
 

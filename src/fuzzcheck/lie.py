@@ -3,14 +3,18 @@ subalgebra / ideal predicates over finite sample sets.
 
 All vectors and scalars are exact rationals: the membership classifiers
 decide sign/zero conditions on coordinates, which float sampling would
-misclassify on measure-zero sets such as an axis.
+misclassify on measure-zero sets such as an axis.  Fractions appear at
+the interface only: the checks run on the structure constants and the
+samples scaled to ints, by positive factors that keep every sign.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .sets import Verdict, as_grade, format_grade
 
@@ -21,31 +25,37 @@ def _vec(values) -> tuple:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Coefficients c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """Nonzero coefficients: [e_i, e_j] = sum of c * e_k over the (k, c)
+    pairs of table[(i, j)], in ascending k; unlisted pairs bracket to 0.
+
+    `scale` is the lcm of the coefficients' denominators and `ints` holds
+    the same table times `scale` as ints.
+    """
 
     dim: int
-    c: tuple  # c[i][j][k], rank-3, Fraction entries
+    table: dict = field(hash=False)
 
     def __post_init__(self):
-        c = tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in plane) for plane in self.c
-        )
-        n = self.dim
-        if len(c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in c):
-            raise ValueError("structure constants must be dim^3")
-        object.__setattr__(self, "c", c)
+        scale = math.lcm(1, *(c.denominator for terms in self.table.values()
+                              for _, c in terms))
+        ints = {key: tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
+                for key, terms in self.table.items()}
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", ints)
 
     @classmethod
     def from_entries(cls, dim: int, entries: dict) -> "StructureConstants":
         """entries maps (i, j, k) zero-based index triples to rationals;
         unlisted entries are zero.  No antisymmetry is inferred."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), v in entries.items():
+        table = {}
+        for (i, j, k), v in sorted(entries.items()):
             for idx in (i, j, k):
                 if not 0 <= idx < dim:
                     raise ValueError(f"index {idx} out of range for dim {dim}")
-            c[i][j][k] = Fraction(v)
-        return cls(dim, tuple(tuple(tuple(r) for r in p) for p in c))
+            v = Fraction(v)
+            if v:
+                table.setdefault((i, j), []).append((k, v))
+        return cls(dim, {key: tuple(terms) for key, terms in table.items()})
 
     def basis(self, i: int) -> tuple:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
@@ -63,23 +73,23 @@ def cross_product_constants() -> StructureConstants:
     )
 
 
+def _walk(sc: StructureConstants, x, y) -> list:
+    """`scale` times [x, y], summed over the nonzero brackets only."""
+    out = [0] * sc.dim
+    for (i, j), terms in sc.ints.items():
+        p = x[i] * y[j]
+        if p:
+            for k, c in terms:
+                out[k] += p * c
+    return out
+
+
 def bracket(sc: StructureConstants, x, y) -> tuple:
     """Bilinear expansion through the structure constants, exact."""
     x, y = _vec(x), _vec(y)
     if len(x) != sc.dim or len(y) != sc.dim:
         raise ValueError("vector dimension mismatch")
-    out = [Fraction(0)] * sc.dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            row = sc.c[i][j]
-            for k in range(sc.dim):
-                if row[k]:
-                    out[k] += xi * yj * row[k]
-    return tuple(out)
+    return tuple(Fraction(v, sc.scale) for v in _walk(sc, x, y))
 
 
 def vec_add(x, y) -> tuple:
@@ -93,31 +103,36 @@ def vec_scale(alpha, x) -> tuple:
 
 def validate_lie(sc: StructureConstants) -> Verdict:
     """Antisymmetry of the constants and the Jacobi identity on all basis
-    triples; bilinearity is structural in this representation."""
-    n = sc.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if sc.c[i][j][k] != -sc.c[j][i][k]:
-                    return Verdict.failed(
-                        f"antisymmetry fails at c[{i}][{j}][{k}]", witness=(i, j, k)
-                    )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ei, ej, ek = sc.basis(i), sc.basis(j), sc.basis(k)
-                total = vec_add(
-                    vec_add(
-                        bracket(sc, ei, bracket(sc, ej, ek)),
-                        bracket(sc, ej, bracket(sc, ek, ei)),
-                    ),
-                    bracket(sc, ek, bracket(sc, ei, ej)),
-                )
-                if any(v != 0 for v in total):
-                    return Verdict.failed(
-                        f"Jacobi identity fails on basis triple ({i},{j},{k})",
-                        witness=(i, j, k),
-                    )
+    triples; bilinearity is structural in this representation.
+
+    Both scans visit, in ascending order, only the triples that can fail:
+    antisymmetry the listed entries and their mirrors, Jacobi the triples
+    (i, j, k) where one of [e_j, e_k], [e_k, e_i] or [e_i, e_j] is nonzero.
+    Jacobi runs on the ints, which scales every sum by scale**2.
+    """
+    ints = sc.ints
+    coef = {(i, j, k): c for (i, j), terms in ints.items() for k, c in terms}
+    for i, j, k in sorted(coef.keys() | {(j, i, k) for i, j, k in coef}):
+        if coef.get((i, j, k), 0) != -coef.get((j, i, k), 0):
+            return Verdict.failed(
+                f"antisymmetry fails at c[{i}][{j}][{k}]", witness=(i, j, k)
+            )
+    candidates = set()
+    for a, b in ints:
+        for m in range(sc.dim):
+            candidates.update(((m, a, b), (b, m, a), (a, b, m)))
+    for i, j, k in sorted(candidates):
+        total = {}
+        # [e_p, [e_q, e_r]] for the three cyclic orders of (i, j, k)
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c1 in ints.get((q, r), ()):
+                for l, c2 in ints.get((p, m), ()):
+                    total[l] = total.get(l, 0) + c1 * c2
+        if any(total.values()):
+            return Verdict.failed(
+                f"Jacobi identity fails on basis triple ({i},{j},{k})",
+                witness=(i, j, k),
+            )
     return Verdict.passed()
 
 
@@ -203,46 +218,82 @@ class SampleSet:
         object.__setattr__(self, "scalars", scalars)
 
 
+def _sign_grader(mu: MembershipClassifier):
+    """Grade ranks of integer vectors under mu, memoized on the signs of
+    the coordinates its conditions read: every operator tests a sign, so
+    vectors with equal signs there have equal grades.  Returns the grader
+    and the ascending list of grades that the ranks index."""
+    coords = sorted({cond.coord for case in mu.cases for cond in case.conditions})
+    levels = sorted({case.grade for case in mu.cases} | {mu.default})
+    rank = {g: r for r, g in enumerate(levels)}
+    memo = {}
+
+    def grade(v) -> int:
+        key = tuple([(v[i] > 0) - (v[i] < 0) for i in coords])
+        r = memo.get(key)
+        if r is None:
+            r = memo[key] = rank[mu.grade(v)]
+        return r
+
+    return grade, levels
+
+
 def _check_conditions(mu, sc, samples, bracket_bound) -> Verdict:
     """Shared scan: additivity, scalar stability, then the bracket condition
     with the supplied lower bound (min for subalgebras, max for ideals).
 
     Scans are in sample order so the reported witness is the first one.
     A pass means "no violation on this sample set", not a universal proof.
+
+    The scan runs on the samples times the lcm of their denominators, as
+    ints: sums, scalar multiples (by the numerator) and brackets then come
+    out as positive multiples of the exact ones, with the same grades.
+    Grades are compared as ranks; a pair whose bound is the lowest grade
+    cannot fail and is skipped.
     """
     if len(samples.vectors[0]) != sc.dim:
         raise ValueError("sample dimension differs from the algebra's")
+    if mu.dim != sc.dim:
+        raise ValueError("vector dimension mismatch")
+    grade, levels = _sign_grader(mu)
+    scale = math.lcm(1, *(v.denominator for x in samples.vectors for v in x))
+    points = []
     for x in samples.vectors:
-        for y in samples.vectors:
-            gx, gy = mu.grade(x), mu.grade(y)
-            gsum = mu.grade(vec_add(x, y))
-            if gsum < min(gx, gy):
-                return Verdict.failed(
-                    f"mu(x+y)={format_grade(gsum)} < min grade "
-                    f"{format_grade(min(gx, gy))} at x={x}, y={y}",
-                    witness=("sum", x, y),
-                )
+        X = [v.numerator * (scale // v.denominator) for v in x]
+        points.append((x, X, grade(X)))
+    for x, X, gx in points:
+        for y, Y, gy in points:
+            low = min(gx, gy)
+            if low:
+                gsum = grade(list(map(add, X, Y)))
+                if gsum < low:
+                    return Verdict.failed(
+                        f"mu(x+y)={format_grade(levels[gsum])} < min grade "
+                        f"{format_grade(levels[low])} at x={x}, y={y}",
+                        witness=("sum", x, y),
+                    )
     for alpha in samples.scalars:
-        for x in samples.vectors:
-            gx = mu.grade(x)
-            gs = mu.grade(vec_scale(alpha, x))
-            if gs < gx:
-                return Verdict.failed(
-                    f"mu(alpha*x)={format_grade(gs)} < mu(x)={format_grade(gx)} "
-                    f"at alpha={alpha}, x={x}",
-                    witness=("scale", alpha, x),
-                )
-    for x in samples.vectors:
-        for y in samples.vectors:
-            gx, gy = mu.grade(x), mu.grade(y)
+        p = alpha.numerator
+        for x, X, gx in points:
+            if gx:
+                gs = grade([p * v for v in X])
+                if gs < gx:
+                    return Verdict.failed(
+                        f"mu(alpha*x)={format_grade(levels[gs])} < "
+                        f"mu(x)={format_grade(levels[gx])} at alpha={alpha}, x={x}",
+                        witness=("scale", alpha, x),
+                    )
+    for x, X, gx in points:
+        for y, Y, gy in points:
             bound = bracket_bound(gx, gy)
-            gb = mu.grade(bracket(sc, x, y))
-            if gb < bound:
-                return Verdict.failed(
-                    f"mu([x,y])={format_grade(gb)} < {format_grade(bound)} "
-                    f"at x={x}, y={y}",
-                    witness=("bracket", x, y, gb, bound),
-                )
+            if bound:
+                gb = grade(_walk(sc, X, Y))
+                if gb < bound:
+                    return Verdict.failed(
+                        f"mu([x,y])={format_grade(levels[gb])} < "
+                        f"{format_grade(levels[bound])} at x={x}, y={y}",
+                        witness=("bracket", x, y, levels[gb], levels[bound]),
+                    )
     return Verdict.passed()
 
 

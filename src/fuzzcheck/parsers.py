@@ -7,6 +7,7 @@ and the expected token.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import ParseError
@@ -21,8 +22,9 @@ from .lie import (
 from .sets import Carrier, FuzzySet, parse_grade, parse_rational
 from .topology import GradeLattice
 
-# Largest Lie algebra dimension accepted: the structure constants are held
-# as a dense dim^3 table, and every check walks at least that many entries.
+# Largest Lie algebra dimension accepted.  The constants are stored
+# sparsely, but the Jacobi scan visits up to 3*dim triples per nonzero
+# bracket and a file may list up to dim^3 entries.
 MAX_STRUCTURE_DIM = 100
 
 
@@ -368,6 +370,8 @@ def load_chart_table(path):
             row = [float(p) for p in parts]
         except ValueError:
             raise ParseError(path, no, "bad numeric value") from None
+        if not all(map(math.isfinite, row[:-1])):
+            raise ParseError(path, no, "param and coordinates must be finite")
         if not 0.0 <= row[-1] <= 1.0:
             raise ParseError(path, no, "membership outside [0,1]")
         params.append(row[0])

@@ -319,6 +319,16 @@ class TestAtlasCommand:
         assert fields["WITNESS_REASON"] == "not injective on the table"
         assert fields["WITNESS_AT"] == "0.1"
 
+    @pytest.mark.parametrize("row", ["nan 2 1", "inf 2 1", "0.1 -inf 1", "0.1 nan 1"])
+    def test_non_finite_param_or_coordinate_is_two(self, tmp_path, row):
+        c0 = put(tmp_path, "c0.txt", f"0.0 1 1\n{row}\n0.2 3 1\n0.3 4 1\n")
+        c1 = put(tmp_path, "c1.txt", "0.0 1 1\n0.1 2 1\n0.2 3 1\n0.3 4 1\n")
+        code, out = run("check-atlas", c0, c1, "--format", "machine")
+        assert code == 2
+        fields = lines_of(out)
+        assert "c0.txt:2" in fields["WITNESS_REASON"]
+        assert "finite" in fields["WITNESS_REASON"]
+
 
 class TestWitnessSelfAudit:
     """Failure witnesses printed by the CLI must refute the property when
