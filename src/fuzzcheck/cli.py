@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
-from fractions import Fraction
 
 from . import lie, manifold
 from .errors import DominationError, FuzzcheckError, ParseError, ResourceCapError
@@ -34,7 +34,7 @@ from .parsers import (
     load_topology,
 )
 from .report import EXIT_CAP, EXIT_USAGE, Report, fmt_value
-from .sets import format_grade, level_set, parse_grade
+from .sets import level_set, parse_grade
 from .topology import (
     DEFAULT_CLOSURE_CAP,
     FuzzyTopology,
@@ -67,7 +67,11 @@ def _tolerances(args) -> manifold.Tolerances:
         name, value = item.split("=", 1)
         if name not in fields:
             raise FuzzcheckError(f"unknown tolerance {name!r}; known: {sorted(fields)}")
-        overrides[name] = float(value)
+        # NaN fails every comparison and would switch its check off; a zero step divides by 0.
+        v = overrides[name] = float(value)
+        if not math.isfinite(v) or v < 0 or (v == 0 and name in ("h0", "h_min")):
+            raise FuzzcheckError(
+                f"tolerance {name} must be finite and >= 0 (> 0 for h0 and h_min), got {value}")
     return manifold.Tolerances(**overrides)
 
 
@@ -172,11 +176,9 @@ def cmd_check_invariant(args) -> Report:
 
 
 def _action_metrics(action) -> dict:
-    metrics = {}
-    for g in action.group.carrier:
-        for x in action.space:
-            metrics[f"act_{fmt_value(g)}_{fmt_value(x)}"] = action.act(g, x)
-    return metrics
+    return {f"act_{fmt_value(g)}_{fmt_value(x)}": y
+            for g, row in zip(action.group.carrier, action.table)
+            for x, y in zip(action.space, row)}
 
 
 def cmd_restrict(args) -> Report:
@@ -206,10 +208,10 @@ def cmd_quotient(args) -> Report:
     rep = _verdict_report("quotient", "quotient-action", v)
     if v.ok:
         rep.metrics["classes"] = len(quotient.space)
-        for g in quotient.group.carrier:
-            for c in quotient.space:
+        for g, row in zip(quotient.group.carrier, quotient.table):
+            for c, image in zip(quotient.space, row):
                 key = f"act_{fmt_value(g)}_{{{'|'.join(map(str, c))}}}"
-                rep.metrics[key] = "{" + "|".join(map(str, quotient.act(g, c))) + "}"
+                rep.metrics[key] = "{" + "|".join(map(str, image)) + "}"
     return rep
 
 

@@ -2,13 +2,18 @@
 restriction / quotient constructions.
 
 Every predicate returns a Verdict whose witness is the lexicographically
-first violation under carrier order, so failures are reproducible.
+first violation under carrier order, so failures are reproducible.  The
+scans run on element indices: a group and an action each cache their table
+with every label replaced by its carrier index, and labels come back only
+in reasons, witnesses and the structures built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import CarrierMismatchError, DominationError
 from .maps import ProperFunction
@@ -37,35 +42,35 @@ class FiniteGroup:
         axiom checking is validate_group's job.
         """
         carrier = Carrier(tuple(elements))
-        n = len(carrier)
+        elems = carrier.elements
         rows = tuple(tuple(row) for row in rows)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if len(rows) != len(elems) or any(len(r) != len(elems) for r in rows):
             raise ValueError("Cayley table must be square and match the element list")
-        for row in rows:
-            for v in row:
-                if v not in carrier:
-                    raise ValueError(f"Cayley entry {v!r} is not an element")
-        identity = None
-        for i, e in enumerate(carrier.elements):
-            if all(
-                rows[i][j] == x and rows[j][i] == x
-                for j, x in enumerate(carrier.elements)
-            ):
-                identity = e
-                break
+        stray = [v for row in rows for v in row if v not in carrier]
+        if stray:
+            raise ValueError(f"Cayley entry {stray[0]!r} is not an element")
+        columns = tuple(zip(*rows))
+        identity = next((e for e, row, col in zip(elems, rows, columns)
+                         if row == elems == col), None)
         if identity is None:
             raise ValueError("table has no identity element")
         inverses = []
-        for i, x in enumerate(carrier.elements):
-            inv = next(
-                (y for j, y in enumerate(carrier.elements)
-                 if rows[i][j] == identity and rows[j][i] == identity),
-                None,
-            )
+        for x, row, col in zip(elems, rows, columns):
+            inv = next((y for y, a, b in zip(elems, row, col) if a == b == identity), None)
             if inv is None:
                 raise ValueError(f"element {x!r} has no inverse")
             inverses.append(inv)
         return cls(carrier, rows, identity, tuple(inverses))
+
+    @cached_property
+    def _ints(self) -> tuple:
+        """The Cayley table on element indices; KeyError on a stray label."""
+        return tuple(tuple(map(self.carrier.index, row)) for row in self.table)
+
+    @cached_property
+    def _inv(self) -> tuple:
+        """The inverses as element indices."""
+        return tuple(map(self.carrier.index, self.inverses))
 
     def op(self, a, b):
         return self.table[self.carrier.index(a)][self.carrier.index(b)]
@@ -77,73 +82,69 @@ class FiniteGroup:
         return len(self.carrier)
 
 
+def _composition_failure(mul, act):
+    """The first (g, h, x) in index order with (gh).x != g.(h.x), or None,
+    found row by row: the row of gh must be g applied to the row of h.  With
+    act = mul this is associativity, the left-regular action's law."""
+    if len(act[0]) == 1:  # one point, which every g fixes; itemgetter would not give tuples
+        return None
+    apply = [itemgetter(*row) for row in act]  # apply[h](row of g) = g applied to row of h
+    for g, (mul_g, act_g) in enumerate(zip(mul, act)):
+        for h, gh in enumerate(mul_g):
+            left, right = act[gh], apply[h](act_g)
+            if left != right:
+                return g, h, next(x for x, (l, r) in enumerate(zip(left, right)) if l != r)
+    return None
+
+
 def validate_group(group: FiniteGroup) -> Verdict:
     """Exhaustive closure, associativity, identity and inverse checks."""
     elems = group.carrier.elements
-    for row in group.table:
-        for v in row:
-            if v not in group.carrier:
-                return Verdict.failed(f"product {v!r} not an element", witness=v)
-    e = group.identity
-    for x in elems:
-        if group.op(e, x) != x or group.op(x, e) != x:
-            return Verdict.failed(f"identity law fails at {x!r}", witness=x)
-        if group.op(x, group.inv(x)) != e or group.op(group.inv(x), x) != e:
-            return Verdict.failed(f"inverse law fails at {x!r}", witness=x)
-    # Associativity row by row on the index table: for each (a, b), the
-    # row of ab must equal a times the row of b.
-    index = group.carrier.index
-    table = [tuple(map(index, row)) for row in group.table]
-    for a, row_a in enumerate(table):
-        for b, ab in enumerate(row_a):
-            left, right = table[ab], tuple(map(row_a.__getitem__, table[b]))
-            if left != right:
-                c = next(c for c, (l, r) in enumerate(zip(left, right)) if l != r)
-                witness = (elems[a], elems[b], elems[c])
-                return Verdict.failed(
-                    "associativity fails at ({!r},{!r},{!r})".format(*witness), witness=witness
-                )
-    return Verdict.passed()
+    stray = [v for row in group.table for v in row if v not in group.carrier]
+    if stray:
+        return Verdict.failed(f"product {stray[0]!r} not an element", witness=stray[0])
+    mul, inv = group._ints, group._inv
+    e = group.carrier.index(group.identity)
+    for x, label in enumerate(elems):
+        if mul[e][x] != x or mul[x][e] != x:
+            return Verdict.failed(f"identity law fails at {label!r}", witness=label)
+        if mul[x][inv[x]] != e or mul[inv[x]][x] != e:
+            return Verdict.failed(f"inverse law fails at {label!r}", witness=label)
+    bad = _composition_failure(mul, mul)
+    if bad is None:
+        return Verdict.passed()
+    w = tuple(elems[i] for i in bad)
+    return Verdict.failed("associativity fails at ({!r},{!r},{!r})".format(*w), witness=w)
 
 
 def is_fuzzy_subgroup(mu: FuzzySet, group: FiniteGroup) -> Verdict:
     """mu(xy) >= min(mu(x), mu(y)) for all pairs and mu(x^-1) = mu(x)."""
     if mu.carrier != group.carrier:
         raise CarrierMismatchError("fuzzy set carrier differs from the group's elements")
-    for x in group.carrier:
-        for y in group.carrier:
-            need = min(mu(x), mu(y))
-            got = mu(group.op(x, y))
-            if got < need:
+    elems, grade = group.carrier.elements, mu.grades
+    for x, row in enumerate(group._ints):
+        for y, xy in enumerate(row):
+            need = min(grade[x], grade[y])
+            if grade[xy] < need:
                 return Verdict.failed(
-                    f"mu({x!r}{y!r})={format_grade(got)} < min={format_grade(need)}",
-                    witness=("pair", (x, y)),
+                    f"mu({elems[x]!r}{elems[y]!r})={format_grade(grade[xy])} "
+                    f"< min={format_grade(need)}",
+                    witness=("pair", (elems[x], elems[y])),
                 )
-    for x in group.carrier:
-        if mu(group.inv(x)) != mu(x):
+    for x, inverse in enumerate(group._inv):
+        if grade[inverse] != grade[x]:
             return Verdict.failed(
-                f"mu({x!r}^-1) != mu({x!r})", witness=("inverse", x)
+                f"mu({elems[x]!r}^-1) != mu({elems[x]!r})", witness=("inverse", elems[x])
             )
     return Verdict.passed()
 
 
 def level_subgroup_oracle(mu: FuzzySet, group: FiniteGroup) -> bool:
     """Classical characterization used as an independent oracle: every
-    nonempty level set at a grade of mu is closed under products and
-    inverses."""
+    level set at a grade of mu (all nonempty) is a subgroup."""
     if mu.carrier != group.carrier:
         raise CarrierMismatchError("fuzzy set carrier differs from the group's elements")
-    for t in sorted(set(mu.grades)):
-        subset = set(level_set(mu, t))
-        if not subset:
-            continue
-        for x in subset:
-            if group.inv(x) not in subset:
-                return False
-            for y in subset:
-                if group.op(x, y) not in subset:
-                    return False
-    return True
+    return all(check_subgroup(group, level_set(mu, t)) for t in set(mu.grades))
 
 
 def is_fuzzy_topological_group(group: FiniteGroup, tau: FuzzyTopology) -> Verdict:
@@ -186,6 +187,11 @@ class FiniteAction:
         table = tuple(tuple(act(g, x) for x in space) for g in group.carrier)
         return cls(group, space, ambient, table)
 
+    @cached_property
+    def _ints(self) -> tuple:
+        """The action table on space indices; KeyError on a stray label."""
+        return tuple(tuple(map(self.space.index, row)) for row in self.table)
+
     def act(self, g, x):
         return self.table[self.group.carrier.index(g)][self.space.index(x)]
 
@@ -193,62 +199,53 @@ class FiniteAction:
 def verify_action(action: FiniteAction) -> Verdict:
     """Composition law for every (g,h,x) plus surjectivity onto the support
     of the space's ambient fuzzy set."""
-    for row in action.table:
-        for y in row:
-            if y not in action.space:
-                return Verdict.failed(f"action leaves the space at {y!r}", witness=y)
-    for g in action.group.carrier:
-        for h in action.group.carrier:
-            gh = action.group.op(g, h)
-            for x in action.space:
-                if action.act(g, action.act(h, x)) != action.act(gh, x):
-                    return Verdict.failed(
-                        f"composition law fails at ({g!r},{h!r},{x!r})",
-                        witness=(g, h, x),
-                    )
-    reached = {y for row in action.table for y in row}
-    for y in action.ambient.support():
-        if y not in reached:
-            return Verdict.failed(f"support point {y!r} not reached", witness=y)
+    stray = [y for row in action.table for y in row if y not in action.space]
+    if stray:
+        return Verdict.failed(f"action leaves the space at {stray[0]!r}", witness=stray[0])
+    act, points = action._ints, action.space.elements
+    bad = _composition_failure(action.group._ints, act)
+    if bad is not None:
+        elems = action.group.carrier.elements
+        w = (elems[bad[0]], elems[bad[1]], points[bad[2]])
+        return Verdict.failed("composition law fails at ({!r},{!r},{!r})".format(*w), witness=w)
+    reached = set().union(*act)
+    for y, grade in enumerate(action.ambient.grades):
+        if grade > 0 and y not in reached:
+            return Verdict.failed(f"support point {points[y]!r} not reached", witness=points[y])
     return Verdict.passed()
 
 
 def is_G_invariant(action: FiniteAction, s: FuzzySet) -> Verdict:
-    """Sup-min image of s under the action must lie under s.
-
-    The group carries the all-ones fuzzy set, so the image grade at y is
-    the max of s(x) over all (g,x) with g.x = y.
-    """
+    """s(g.x) >= s(x) for every g and x, that is, the sup-min image of s
+    (the max of s(x) over all (g,x) with g.x = y, as the group carries the
+    all-ones fuzzy set) lies under s.  One pass over the action table; the
+    witness is the least violating (y, g, x) in index order."""
     if s.carrier != action.space:
         raise CarrierMismatchError("fuzzy subset must live on the action space")
-    for y in action.space:
-        for g in action.group.carrier:
-            for x in action.space:
-                if action.act(g, x) == y and s(x) > s(y):
-                    return Verdict.failed(
-                        f"image grade {format_grade(s(x))} at {y!r} exceeds "
-                        f"s({y!r})={format_grade(s(y))} via ({g!r},{x!r})",
-                        witness=(y, g, x),
-                    )
-    return Verdict.passed()
+    grade, points = s.grades, action.space.elements
+    bad = min(((y, g, x) for g, row in enumerate(action._ints) for x, y in enumerate(row)
+               if grade[y] < grade[x]), default=None)
+    if bad is None:
+        return Verdict.passed()
+    y, g, x = bad
+    at, by, src = witness = (points[y], action.group.carrier.elements[g], points[x])
+    return Verdict.failed(
+        f"image grade {format_grade(grade[x])} at {at!r} exceeds "
+        f"s({at!r})={format_grade(grade[y])} via ({by!r},{src!r})", witness=witness
+    )
 
 
 def subgroup_closure(group: FiniteGroup, elements) -> tuple:
-    """Closure of a subset under products and inverses, in carrier order."""
-    members = {group.identity}
-    members.update(elements)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(members):
-            if group.inv(x) not in members:
-                members.add(group.inv(x))
-                changed = True
-            for y in list(members):
-                if group.op(x, y) not in members:
-                    members.add(group.op(x, y))
-                    changed = True
-    return tuple(x for x in group.carrier if x in members)
+    """Closure of a subset under products and inverses, in carrier order:
+    the fixpoint of adding the inverses and products of the members."""
+    mul, inv = group._ints, group._inv
+    members = set(map(group.carrier.index, (group.identity, *elements)))
+    while True:
+        grown = members.union((inv[x] for x in members),
+                              (mul[x][y] for x in members for y in members))
+        if grown == members:
+            return tuple(group.carrier.elements[i] for i in sorted(members))
+        members = grown
 
 
 def check_subgroup(group: FiniteGroup, elements) -> Verdict:
@@ -261,23 +258,29 @@ def check_subgroup(group: FiniteGroup, elements) -> Verdict:
             return Verdict.failed(f"{x!r} is not a group element", witness=x)
     if group.identity not in subset:
         return Verdict.failed("identity missing", witness=group.identity)
-    for x in group.carrier:
-        if x not in subset:
-            continue
-        if group.inv(x) not in subset:
-            return Verdict.failed(f"inverse of {x!r} missing", witness=x)
-        for y in group.carrier:
-            if y in subset and group.op(x, y) not in subset:
-                return Verdict.failed(f"product {x!r}{y!r} escapes", witness=(x, y))
+    elems, mul, inv = group.carrier.elements, group._ints, group._inv
+    inside = [x in subset for x in elems]
+    members = [x for x, m in enumerate(inside) if m]
+    for x in members:
+        if not inside[inv[x]]:
+            return Verdict.failed(f"inverse of {elems[x]!r} missing", witness=elems[x])
+        for y in members:
+            if not inside[mul[x][y]]:
+                return Verdict.failed(
+                    f"product {elems[x]!r}{elems[y]!r} escapes", witness=(elems[x], elems[y])
+                )
     return Verdict.passed()
 
 
 def subgroup_of(group: FiniteGroup, elements) -> FiniteGroup:
-    ordered = tuple(x for x in group.carrier if x in set(elements))
-    sub_carrier = Carrier(ordered)
-    table = tuple(tuple(group.op(a, b) for b in ordered) for a in ordered)
-    return FiniteGroup(sub_carrier, table, group.identity,
-                       tuple(group.inv(x) for x in ordered))
+    subset = set(elements)
+    members = [i for i, x in enumerate(group.carrier) if x in subset]
+    elems, mul, inv = group.carrier.elements, group._ints, group._inv
+    return FiniteGroup(
+        Carrier(tuple(elems[a] for a in members)),
+        tuple(tuple(elems[mul[a][b]] for b in members) for a in members),
+        group.identity, tuple(elems[inv[a]] for a in members),
+    )
 
 
 def restrict_to_subgroup(action: FiniteAction, elements) -> FiniteAction:
@@ -286,25 +289,21 @@ def restrict_to_subgroup(action: FiniteAction, elements) -> FiniteAction:
     if not v:
         raise DominationError(f"not a subgroup: {v.reason}", witness=v.witness)
     h = subgroup_of(action.group, elements)
-    return FiniteAction.from_function(h, action.space, action.act, action.ambient)
+    rows = (row for g, row in zip(action.group.carrier, action.table) if g in h.carrier)
+    return FiniteAction(h, action.space, action.ambient, rows)
 
 
 def restrict_to_invariant(action: FiniteAction, s: FuzzySet) -> FiniteAction:
-    """Action restricted to the support of an invariant fuzzy subset."""
+    """Action restricted to the support of an invariant fuzzy subset, which
+    the action maps into itself: s(g.x) >= s(x) > 0."""
     v = is_G_invariant(action, s)
     if not v:
         raise DominationError(f"subset is not invariant: {v.reason}", witness=v.witness)
-    support = s.support()
-    space = Carrier(support)
-    ambient = FuzzySet(space, tuple(s(x) for x in support))
-    for g in action.group.carrier:
-        for x in support:
-            if action.act(g, x) not in space:
-                # Unreachable for genuinely invariant subsets; guards the contract.
-                raise DominationError(
-                    f"action leaves the support at ({g!r},{x!r})", witness=(g, x)
-                )
-    return FiniteAction.from_function(action.group, space, action.act, ambient)
+    keep = [x for x, g in enumerate(s.grades) if g > 0]
+    space = Carrier(s.support())
+    ambient = FuzzySet._trusted(space, tuple(s.grades[x] for x in keep))
+    rows = (tuple(row[x] for x in keep) for row in action.table)
+    return FiniteAction(action.group, space, ambient, rows)
 
 
 @dataclass(frozen=True)
@@ -342,19 +341,20 @@ def quotient_action(action: FiniteAction, rho: EquivalenceRelation) -> FiniteAct
     """Action on equivalence classes; requires the relation to be preserved."""
     if not rho.covers(action.space):
         raise ValueError("relation classes must partition the action space")
-    for g in action.group.carrier:
-        for c in rho.classes:
-            rep = rho.class_of(action.act(g, c[0]))
-            for x in c[1:]:
-                if rho.class_of(action.act(g, x)) != rep:
-                    raise DominationError(
-                        f"relation not preserved at ({g!r},{c[0]!r},{x!r})",
-                        witness=(g, c[0], x),
-                    )
+    members = [tuple(map(action.space.index, c)) for c in rho.classes]
+    klass = {x: k for k, c in enumerate(members) for x in c}  # space index -> class number
+    table = []
+    for g, row in zip(action.group.carrier, action._ints):
+        for c, labels in zip(members, rho.classes):
+            odd = next((i for i, x in enumerate(c) if klass[row[x]] != klass[row[c[0]]]), 0)
+            if odd:
+                raise DominationError(
+                    f"relation not preserved at ({g!r},{labels[0]!r},{labels[odd]!r})",
+                    witness=(g, labels[0], labels[odd]),
+                )
+        table.append([rho.classes[klass[row[c[0]]]] for c in members])
     space = Carrier(rho.classes)
-    return FiniteAction.from_function(
-        action.group, space, lambda g, c: rho.class_of(action.act(g, c[0]))
-    )
+    return FiniteAction(action.group, space, FuzzySet.ones(space), table)
 
 
 def coset_action(group: FiniteGroup, subgroup_elements) -> FiniteAction:
@@ -363,21 +363,14 @@ def coset_action(group: FiniteGroup, subgroup_elements) -> FiniteAction:
     if not v:
         raise DominationError(f"not a subgroup: {v.reason}", witness=v.witness)
     subset = set(subgroup_elements)
-    cosets = []
-    covered = set()
-    for g in group.carrier:
-        if g in covered:
-            continue
-        coset = tuple(x for x in group.carrier if x in {group.op(g, h) for h in subset})
-        cosets.append(coset)
-        covered.update(coset)
-    space = Carrier(tuple(cosets))
-
-    def act(g, coset):
-        rep = group.op(g, coset[0])
-        return next(c for c in cosets if rep in c)
-
-    return FiniteAction.from_function(group, space, act)
+    elems, mul = group.carrier.elements, group._ints
+    hs = [h for h, x in enumerate(elems) if x in subset]
+    cosets = [tuple(sorted({row[h] for h in hs})) for row in mul]  # gH for each g
+    firsts = [g for g, c in enumerate(cosets) if c[0] == g]  # each coset by its first element
+    named = [tuple(elems[x] for x in c) for c in cosets]
+    table = (tuple(named[row[g]] for g in firsts) for row in mul)
+    space = Carrier(tuple(named[g] for g in firsts))
+    return FiniteAction(group, space, FuzzySet.ones(space), table)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ class Tolerances:
     h0: float = 1e-3             # initial central-difference step (two halvings follow)
     h_min: float = 1e-5          # reference step for scaling the stability tolerance
     cover_eps: float = 0.0       # allowed cover deficiency
-    rank_rtol: float = 1e-6      # singular values below rtol * smax do not count
     lipschitz_cap: float = 1e3   # max |dD/ds| between adjacent derivative samples
     edge_margin_frac: float = 0.05  # fraction of a component span skipped at its edges
     seam_margin_factor: float = 8.0  # skip radius around declared seams, in units of h0
@@ -194,7 +193,6 @@ def check_c1_diffeo(
     seams: Sequence[float] = (),
     inverse_fn: Optional[Callable[[float], float]] = None,
     inverse_seams: Sequence[float] = (),
-    _depth: int = 0,
 ) -> C1Report:
     """Injectivity on the grid, finite-difference derivative stability under
     step halving, derivative continuity along the grid, and the same for the
@@ -264,11 +262,8 @@ def check_c1_diffeo(
     report.derivatives = np.array(all_d)
     report.grid = np.array(all_s)
 
-    if inverse_fn is not None and _depth == 0:
-        inv_grid = np.sort(values)
-        inv = check_c1_diffeo(
-            inverse_fn, inv_grid, tol, seams=inverse_seams, _depth=1
-        )
+    if inverse_fn is not None:
+        inv = check_c1_diffeo(inverse_fn, np.sort(values), tol, seams=inverse_seams)
         report.max_stability_error = max(report.max_stability_error, inv.max_stability_error)
         report.max_derivative_jump = max(report.max_derivative_jump, inv.max_derivative_jump)
         if not inv.ok:
@@ -514,8 +509,11 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
 # ---------------------------------------------------------------------------
 # Jacobian ranks and the invertible-matrix demo.
 
-def numeric_rank(fn: Callable, point, h: float = 1e-5,
-                 rtol: float = Tolerances.rank_rtol) -> int:
+# Singular values below RANK_RTOL times the largest do not count toward a rank.
+RANK_RTOL = 1e-6
+
+
+def numeric_rank(fn: Callable, point, h: float = 1e-5, rtol: float = RANK_RTOL) -> int:
     """Rank of the central finite-difference Jacobian at an interior point."""
     if h <= 0:
         raise ValueError("step size must be positive")

@@ -2,15 +2,16 @@
 
 The induced relation F(x,y) equals the source grade on the graph of the
 crisp map and 0 elsewhere, so image/preimage reduce to sup-min over the
-crisp fibers.
+crisp fibers.  The scans run on the images as target indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CarrierMismatchError, DominationError
-from .sets import FuzzySet, Verdict, ZERO, format_grade, is_subset
+from .sets import FuzzySet, Verdict, ZERO, is_subset
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,11 @@ class ProperFunction:
             raise ValueError(f"map not defined at {exc.args[0]!r}") from None
         return cls(source, target, images)
 
+    @cached_property
+    def _ints(self) -> tuple:
+        """The images as target indices, aligned with source order."""
+        return tuple(map(self.target.carrier.index, self.images))
+
     def of(self, x):
         return self.images[self.source.carrier.index(x)]
 
@@ -60,17 +66,16 @@ def _require_below(a: FuzzySet, bound: FuzzySet, what: str):
 
 
 def image(f: ProperFunction, a: FuzzySet) -> FuzzySet:
-    """Sup-min image: (F(A))(y) = max over the fiber of min(source grade, A(x))."""
+    """Sup-min image: (F(A))(y) = max over the fiber of min(source grade, A(x)),
+    which is A(x) as A lies under the source."""
     if a.carrier != f.source.carrier:
         raise CarrierMismatchError("A must live on the source carrier")
     _require_below(a, f.source, "A")
-    out = {y: ZERO for y in f.target.carrier}
-    for x, gx in a.items():
-        y = f.of(x)
-        g = min(f.source(x), gx)
+    out = [ZERO] * len(f.target.carrier)
+    for y, g in zip(f._ints, a.grades):
         if g > out[y]:
             out[y] = g
-    return FuzzySet.from_map(f.target.carrier, out)
+    return FuzzySet._trusted(f.target.carrier, tuple(out))
 
 
 def preimage(f: ProperFunction, b: FuzzySet) -> FuzzySet:
@@ -78,28 +83,25 @@ def preimage(f: ProperFunction, b: FuzzySet) -> FuzzySet:
     if b.carrier != f.target.carrier:
         raise CarrierMismatchError("B must live on the target carrier")
     _require_below(b, f.target, "B")
-    grades = tuple(min(gx, b(y)) for gx, y in zip(f.source.grades, f.images))
-    return FuzzySet(f.source.carrier, grades)
+    grades = tuple(min(gx, b.grades[y]) for gx, y in zip(f.source.grades, f._ints))
+    return FuzzySet._trusted(f.source.carrier, grades)
 
 
 def classify(f: ProperFunction) -> MapFlags:
     """Injective iff the crisp map is; surjective iff every positively graded
     target element has a preimage; bijective iff both."""
-    injective = len(set(f.images)) == len(f.images)
-    hit = set(f.images)
-    surjective, witness = True, None
-    for y, gy in f.target.items():
-        if gy > 0 and y not in hit:
-            surjective, witness = False, y
-            break
-    return MapFlags(injective, surjective, injective and surjective, witness)
+    hit = set(f._ints)
+    injective = len(hit) == len(f.images)
+    missed = [y for y, gy in enumerate(f.target.grades) if gy > 0 and y not in hit]
+    witness = f.target.carrier.elements[missed[0]] if missed else None
+    return MapFlags(injective, not missed, injective and not missed, witness)
 
 
 def compose(f: ProperFunction, g: ProperFunction) -> ProperFunction:
     """g after f; requires f's target to be g's source."""
     if f.target != g.source:
         raise CarrierMismatchError("target of first map must equal source of second")
-    return ProperFunction(f.source, g.target, tuple(g.of(y) for y in f.images))
+    return ProperFunction(f.source, g.target, tuple(g.images[y] for y in f._ints))
 
 
 def is_fuzzy_homomorphism(f: ProperFunction, group_src, group_tgt) -> Verdict:
@@ -111,13 +113,14 @@ def is_fuzzy_homomorphism(f: ProperFunction, group_src, group_tgt) -> Verdict:
         raise CarrierMismatchError("source carrier is not the source group")
     if f.target.carrier != group_tgt.carrier:
         raise CarrierMismatchError("target carrier is not the target group")
-    for x in group_src.carrier:
-        for z in group_src.carrier:
-            left = f.of(group_src.op(x, z))
-            right = group_tgt.op(f.of(x), f.of(z))
-            if left != right:
+    fi, elems, mul = f._ints, group_src.carrier.elements, group_tgt._ints
+    for x, row in enumerate(group_src._ints):
+        fx_row = mul[fi[x]]
+        for z, xz in enumerate(row):
+            if fi[xz] != fx_row[fi[z]]:
+                a, b, right = elems[x], elems[z], group_tgt.table[fi[x]][fi[z]]
                 return Verdict.failed(
-                    f"f({x!r}*{z!r})={left!r} but f({x!r})*f({z!r})={right!r}",
-                    witness=(x, z),
+                    f"f({a!r}*{b!r})={f.images[xz]!r} but f({a!r})*f({b!r})={right!r}",
+                    witness=(a, b),
                 )
     return Verdict.passed()

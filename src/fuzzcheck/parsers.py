@@ -19,6 +19,7 @@ from .lie import (
     SampleSet,
     StructureConstants,
 )
+from .maps import ProperFunction
 from .sets import Carrier, FuzzySet, parse_grade, parse_rational
 from .topology import GradeLattice
 
@@ -36,49 +37,59 @@ def _lines(path):
                 yield no, line
 
 
+def _once(path, no, value, header):
+    """Reject a header line whose value an earlier line already set."""
+    if value is not None:
+        raise ParseError(path, no, f"repeated {header!r} line")
+
+
+def _read_grade(path, no, line, grades: dict):
+    """Add an `element grade` line to `grades` and return the element; a
+    malformed line or an element graded before is an error."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError(path, no, "expected 'element grade'")
+    elem, grade_text = parts
+    if elem in grades:
+        raise ParseError(path, no, f"duplicate element {elem!r}")
+    try:
+        grades[elem] = parse_grade(grade_text)
+    except ValueError as exc:
+        raise ParseError(path, no, str(exc)) from None
+    return elem
+
+
 def load_fuzzy_set(path, carrier: Carrier | None = None) -> FuzzySet:
     """One `element grade` pair per line; duplicate elements are an error.
     When a carrier is given the file must grade exactly its elements."""
     grades = {}
-    order = []
     for no, line in _lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected 'element grade'")
-        elem, grade_text = parts
-        if elem in grades:
-            raise ParseError(path, no, f"duplicate element {elem!r}")
-        try:
-            grades[elem] = parse_grade(grade_text)
-        except ValueError as exc:
-            raise ParseError(path, no, str(exc)) from None
-        order.append(elem)
-    if not order:
+        _read_grade(path, no, line, grades)
+    if not grades:
         raise ParseError(path, 1, "empty fuzzy set file")
     if carrier is None:
-        carrier = Carrier(tuple(order))
+        carrier = Carrier(tuple(grades))
     else:
         missing = [x for x in carrier if x not in grades]
         if missing:
             raise ParseError(path, 1, f"element {missing[0]!r} has no grade")
-        extra = [x for x in order if x not in carrier]
+        extra = [x for x in grades if x not in carrier]
         if extra:
             raise ParseError(path, 1, f"element {extra[0]!r} not in the carrier")
     return FuzzySet.from_map(carrier, grades)
 
 
 def load_map(path) -> tuple:
-    """`source: <set file>` and `target: <set file>` headers, then one
-    `x -> y` line per source element.  Paths resolve relative to the file."""
+    """`source: <set file>` and `target: <set file>` headers, each once, then
+    one `x -> y` line per source element.  Paths resolve relative to the file."""
     base = os.path.dirname(os.path.abspath(path))
-    source_path = target_path = None
-    mapping = {}
+    paths = {}
+    mapping = {}  # x -> (y, line number)
     for no, line in _lines(path):
-        if line.startswith("source:"):
-            source_path = os.path.join(base, line.split(":", 1)[1].strip())
-            continue
-        if line.startswith("target:"):
-            target_path = os.path.join(base, line.split(":", 1)[1].strip())
+        header, _, rest = line.partition(":")
+        if header in ("source", "target"):
+            _once(path, no, paths.get(header), header + ":")
+            paths[header] = os.path.join(base, rest.strip())
             continue
         if "->" not in line:
             raise ParseError(path, no, "expected 'x -> y'")
@@ -87,17 +98,19 @@ def load_map(path) -> tuple:
             raise ParseError(path, no, "expected 'x -> y'")
         if lhs in mapping:
             raise ParseError(path, no, f"duplicate mapping for {lhs!r}")
-        mapping[lhs] = rhs
-    if source_path is None or target_path is None:
+        mapping[lhs] = rhs, no
+    if len(paths) != 2:
         raise ParseError(path, 1, "missing 'source:' or 'target:' header")
-    source = load_fuzzy_set(source_path)
-    target = load_fuzzy_set(target_path)
-    from .maps import ProperFunction
-
+    source, target = load_fuzzy_set(paths["source"]), load_fuzzy_set(paths["target"])
+    for x, (y, no) in mapping.items():
+        if x not in source.carrier:
+            raise ParseError(path, no, f"{x!r} is not a source element")
+        if y not in target.carrier:
+            raise ParseError(path, no, f"map value {y!r} not in target carrier")
     for x in source.carrier:
         if x not in mapping:
             raise ParseError(path, 1, f"map not defined at {x!r}")
-    return ProperFunction.from_dict(source, target, mapping)
+    return ProperFunction(source, target, tuple(mapping[x][0] for x in source.carrier))
 
 
 def load_group(path) -> FiniteGroup:
@@ -129,26 +142,26 @@ def load_group(path) -> FiniteGroup:
 
 
 def load_topology(path) -> tuple:
-    """`ambient: <set file>`, a `q=<int>` lattice line, then generator
-    blocks each introduced by a `gen:` line.  Returns (ambient, generators,
-    lattice)."""
+    """`ambient: <set file>` and a `q=<int>` lattice line, each once, then
+    generator blocks each introduced by a `gen:` line.  Returns (ambient,
+    generators, lattice)."""
     base = os.path.dirname(os.path.abspath(path))
-    ambient = None
-    lattice = None
+    ambient = lattice = current = None
     generators = []
-    current = None
 
     def flush(no):
         if current is not None:
             if not current:
                 raise ParseError(path, no, "empty generator block")
-            generators.append(FuzzySet.from_map(ambient.carrier, dict(current)))
+            generators.append(FuzzySet.from_map(ambient.carrier, current))
 
     for no, line in _lines(path):
         if line.startswith("ambient:"):
+            _once(path, no, ambient, "ambient:")
             ambient = load_fuzzy_set(os.path.join(base, line.split(":", 1)[1].strip()))
             continue
         if line.startswith("q="):
+            _once(path, no, lattice, "q=")
             try:
                 lattice = GradeLattice(int(line[2:].strip()))
             except ValueError:
@@ -158,20 +171,13 @@ def load_topology(path) -> tuple:
             if ambient is None:
                 raise ParseError(path, no, "generator before 'ambient:' line")
             flush(no)
-            current = []
+            current = {}
             continue
         if current is None:
             raise ParseError(path, no, "expected 'ambient:', 'q=', or 'gen:'")
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected 'element grade'")
-        elem, grade_text = parts
+        elem = _read_grade(path, no, line, current)
         if elem not in ambient.carrier:
             raise ParseError(path, no, f"element {elem!r} not in the ambient carrier")
-        try:
-            current.append((elem, parse_grade(grade_text)))
-        except ValueError as exc:
-            raise ParseError(path, no, str(exc)) from None
     if ambient is None:
         raise ParseError(path, 1, "missing 'ambient:' line")
     if lattice is None:
@@ -183,8 +189,7 @@ def load_topology(path) -> tuple:
 def load_action(path, group: FiniteGroup) -> FiniteAction:
     """One `g x -> y` line per (group element, space point) pair; the space
     is the ordered set of points as first seen on the x side."""
-    entries = {}
-    space_order = []
+    entries = {}  # (g, x) -> (y, line number)
     for no, line in _lines(path):
         if "->" not in line:
             raise ParseError(path, no, "expected 'g x -> y'")
@@ -197,21 +202,18 @@ def load_action(path, group: FiniteGroup) -> FiniteAction:
             raise ParseError(path, no, f"{g!r} is not a group element")
         if (g, x) in entries:
             raise ParseError(path, no, f"duplicate entry for ({g!r},{x!r})")
-        entries[(g, x)] = rhs
-        if x not in space_order:
-            space_order.append(x)
+        entries[(g, x)] = rhs, no
     if not entries:
         raise ParseError(path, 1, "empty action file")
-    space = Carrier(tuple(space_order))
-    for g in group.carrier:
-        for x in space:
-            if (g, x) not in entries:
-                raise ParseError(path, 1, f"action undefined at ({g!r},{x!r})")
-            if entries[(g, x)] not in space:
-                raise ParseError(
-                    path, 1, f"action value {entries[(g, x)]!r} is not a space point"
-                )
-    return FiniteAction.from_function(group, space, lambda g, x: entries[(g, x)])
+    space = Carrier(tuple(dict.fromkeys(x for _, x in entries)))
+    for y, no in entries.values():
+        if y not in space:
+            raise ParseError(path, no, f"action value {y!r} is not a space point")
+    missing = [(g, x) for g in group.carrier for x in space if (g, x) not in entries]
+    if missing:
+        raise ParseError(path, 1, "action undefined at ({!r},{!r})".format(*missing[0]))
+    table = tuple(tuple(entries[g, x][0] for x in space) for g in group.carrier)
+    return FiniteAction(group, space, FuzzySet.ones(space), table)
 
 
 def load_relation(path, space: Carrier) -> EquivalenceRelation:

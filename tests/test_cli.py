@@ -330,6 +330,89 @@ class TestAtlasCommand:
         assert "finite" in fields["WITNESS_REASON"]
 
 
+class TestToleranceValues:
+    """A NaN bound fails every comparison and so switches its check off; a
+    zero step divides by zero.  Both exit 2 naming the tolerance."""
+
+    def test_nan_cap_cannot_pass_a_jump(self, tmp_path):
+        c0 = put(tmp_path, "c0.txt", "".join(f"{i/1000} {i/1000} 1\n" for i in range(1000)))
+        c1 = put(tmp_path, "c1.txt", "".join(
+            f"{i/1000 if i < 500 else 3 * i/1000 - 1} {i/1000} 1\n" for i in range(1000)))
+        code, out = run("check-atlas", c0, c1, "--format", "machine")
+        assert code == 1 and "jumps" in lines_of(out)["WITNESS_REASON"]
+        code, out = run("check-atlas", c0, c1, "--tolerance", "lipschitz_cap=nan",
+                        "--format", "machine")
+        assert code == 2
+        assert "lipschitz_cap" in lines_of(out)["WITNESS_REASON"]
+
+    @pytest.mark.parametrize("item", ["eps_deriv=nan", "eps_inv=inf", "cover_eps=-1",
+                                      "h_min=0", "h0=0", "h0=-0.001"])
+    def test_non_finite_negative_or_zero_step_is_two(self, item):
+        code, out = run("demo-circle", "--samples-per-chart", "64",
+                        "--tolerance", item, "--format", "machine")
+        assert code == 2
+        assert item.split("=")[0] in lines_of(out)["WITNESS_REASON"]
+
+    def test_rank_rtol_is_no_tolerance(self):
+        code, _ = run("demo-circle", "--samples-per-chart", "64",
+                      "--tolerance", "rank_rtol=1", "--format", "machine")
+        assert code == 2
+
+
+class TestRejectedLines:
+    """Repeated headers, duplicate generator elements and map or action
+    lines naming points outside their sets exit 2 with file:line."""
+
+    def reason(self, *argv):
+        code, out = run(*argv, "--format", "machine")
+        assert code == 2
+        return lines_of(out)["WITNESS_REASON"]
+
+    def topology(self, tmp_path, body):
+        put(tmp_path, "amb.txt", "a 1\nb 1\n")
+        put(tmp_path, "amb2.txt", "a 1\nc 1\n")
+        return put(tmp_path, "topo.txt", body)
+
+    def test_duplicate_generator_element(self, tmp_path):
+        topo = self.topology(tmp_path, "ambient: amb.txt\nq=2\ngen:\na 1/2\na 1\n")
+        reason = self.reason("check-topology", topo)
+        assert "topo.txt:5" in reason and "duplicate element 'a'" in reason
+
+    def test_second_ambient(self, tmp_path):
+        topo = self.topology(tmp_path, "ambient: amb.txt\nq=2\ngen:\na 1/2\nambient: amb2.txt\n")
+        assert "topo.txt:5" in self.reason("check-topology", topo)
+
+    def test_second_lattice(self, tmp_path):
+        topo = self.topology(tmp_path, "ambient: amb.txt\nq=2\nq=3\ngen:\na 1/2\n")
+        assert "topo.txt:3" in self.reason("check-topology", topo)
+
+    def map_file(self, tmp_path, lines):
+        put(tmp_path, "src.txt", "0 1\n1 1\n2 1\n3 1\n")
+        put(tmp_path, "tgt.txt", "0 1\n1 1\n")
+        put(tmp_path, "z2.txt", "elements: 0 1\n0 1\n1 0\n")
+        return put(tmp_path, "f.txt", "source: src.txt\ntarget: tgt.txt\n" + lines)
+
+    @pytest.mark.parametrize("header", ["source: src.txt", "target: tgt.txt"])
+    def test_second_map_header(self, tmp_path, z4, header):
+        f = self.map_file(tmp_path, f"0 -> 0\n{header}\n1 -> 1\n2 -> 0\n3 -> 1\n")
+        reason = self.reason("check-homomorphism", f, z4, str(tmp_path / "z2.txt"))
+        assert "f.txt:4" in reason
+
+    @pytest.mark.parametrize("line", ["9 -> 0", "1 -> 7"])
+    def test_map_line_outside_source_or_target(self, tmp_path, z4, line):
+        body = "0 -> 0\n1 -> 1\n2 -> 0\n3 -> 1\n".replace("1 -> 1", line)
+        if line.startswith("9"):
+            body += "1 -> 1\n"
+        f = self.map_file(tmp_path, body)
+        reason = self.reason("check-homomorphism", f, z4, str(tmp_path / "z2.txt"))
+        assert "f.txt:4" in reason
+
+    def test_action_value_outside_space(self, tmp_path, z4):
+        act = put(tmp_path, "act.txt", Z4_TRANSLATION.replace("1 2 -> 3", "1 2 -> 9"))
+        reason = self.reason("check-action", z4, act)
+        assert "act.txt:7" in reason and "'9'" in reason
+
+
 class TestWitnessSelfAudit:
     """Failure witnesses printed by the CLI must refute the property when
     re-evaluated against the library definitions."""

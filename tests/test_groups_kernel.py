@@ -1,11 +1,34 @@
-"""Differential tests: `validate_group`'s row-wise associativity check on
-the index table against the triple loop in `groups_oracle.py`.  Verdicts,
-reasons and witnesses must be equal."""
+"""Differential tests: the group and action scans on the index tables
+against the label loops in `groups_oracle.py`.  Verdicts, reasons and
+witnesses must be equal, and so must the actions built."""
+
+import time
+from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
 import groups_oracle as oracle
-from fuzzcheck.groups import FiniteGroup, catalog, dihedral_group, symmetric_group, validate_group
+from fuzzcheck.errors import DominationError
+from fuzzcheck.groups import (
+    EquivalenceRelation,
+    FiniteAction,
+    FiniteGroup,
+    catalog,
+    check_subgroup,
+    coset_action,
+    dihedral_group,
+    is_fuzzy_subgroup,
+    is_G_invariant,
+    level_subgroup_oracle,
+    quotient_action,
+    restrict_to_invariant,
+    restrict_to_subgroup,
+    subgroup_closure,
+    symmetric_group,
+    validate_group,
+    verify_action,
+)
+from fuzzcheck.sets import Carrier, FuzzySet
 
 GROUPS = list(catalog().values()) + [symmetric_group(4), dihedral_group(6)]
 
@@ -39,3 +62,207 @@ def tables(draw):
 def test_validate_group_matches_triple_loop(group):
     got, want = validate_group(group), oracle.validate_group(group)
     assert (got.ok, got.reason, repr(got.witness)) == (want.ok, want.reason, repr(want.witness))
+
+
+def same(got, want):
+    return (got.ok, got.reason, repr(got.witness)) == (want.ok, want.reason, repr(want.witness))
+
+
+def outcome(fn, *args):
+    """The result of fn, or the type, message and witness of what it raised."""
+    try:
+        return fn(*args)
+    except (DominationError, ValueError) as exc:
+        return type(exc).__name__, str(exc), repr(getattr(exc, "witness", None))
+
+
+def closed(group):
+    return all(v in group.carrier for row in group.table for v in row)
+
+
+@st.composite
+def groups(draw):
+    """A catalog group, or one with replaced Cayley entries but no stray
+    label: every scan but validate_group's reads the index table."""
+    return draw(st.one_of(st.sampled_from(GROUPS), tables().filter(closed)))
+
+
+@st.composite
+def graded(draw, group):
+    """A fuzzy set on the group with grades k/q: drawn at random, or a chain
+    of subgroups graded downward (a fuzzy subgroup), then maybe one grade
+    moved."""
+    q = draw(st.integers(1, 4))
+    elems = group.carrier.elements
+    index = st.integers(0, len(elems) - 1)
+    if draw(st.booleans()):
+        return FuzzySet(group.carrier, tuple(F(draw(st.integers(0, q)), q) for _ in elems))
+    levels = sorted(draw(st.lists(st.integers(0, q), min_size=1, max_size=4)), reverse=True)
+    grade, seeds = {}, []
+    for level in levels:
+        seeds.append(elems[draw(index)])
+        for x in oracle.subgroup_closure(group, seeds):
+            grade.setdefault(x, F(level, q))
+    bottom = F(draw(st.integers(0, levels[-1])), q)
+    grades = [grade.get(x, bottom) for x in elems]
+    if draw(st.booleans()):
+        grades[draw(index)] = F(draw(st.integers(0, q)), q)
+    return FuzzySet(group.carrier, tuple(grades))
+
+
+@st.composite
+def subsets(draw, group):
+    """Labels to test as a subgroup: any picks (maybe empty or without the
+    identity), a generated subgroup, that subgroup less one element, or with
+    a label outside the group."""
+    elems = group.carrier.elements
+    picked = draw(st.lists(st.sampled_from(elems), max_size=5))
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return picked
+    closure = list(oracle.subgroup_closure(group, picked))
+    if kind == 2 and len(closure) > 1:
+        del closure[draw(st.integers(0, len(closure) - 1))]
+    if kind == 3:
+        closure.insert(draw(st.integers(0, len(closure))), "stray")
+    return draw(st.permutations(closure))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzy_subgroup_scans_match_label_loops(data):
+    group = data.draw(groups())
+    mu = data.draw(graded(group))
+    assert same(is_fuzzy_subgroup(mu, group), oracle.is_fuzzy_subgroup(mu, group))
+    if group in GROUPS:
+        # The level oracle asks for the identity too, which a nonempty subset
+        # closed under products and inverses holds in a group.
+        assert level_subgroup_oracle(mu, group) == oracle.level_subgroup_oracle(mu, group)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subgroup_checks_match_label_loops(data):
+    group = data.draw(groups())
+    elements = data.draw(subsets(group))
+    assert same(check_subgroup(group, elements), oracle.check_subgroup(group, elements))
+    if "stray" not in elements:
+        assert subgroup_closure(group, elements) == oracle.subgroup_closure(group, elements)
+    if group in GROUPS:
+        assert outcome(coset_action, group, elements) == outcome(
+            oracle.coset_action, group, elements)
+
+
+def components(action) -> list:
+    """The connected components of the graph with edges x -- g.x."""
+    root = {x: x for x in action.space}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for row in action.table:
+        for x, y in zip(action.space, row):
+            if y in root:
+                root[find(x)] = find(y)
+    parts = {}
+    for x in action.space:
+        parts.setdefault(find(x), []).append(x)
+    return list(parts.values())
+
+
+@st.composite
+def actions(draw, stray=True):
+    """A catalog group acting on the cosets of one or two subgroups side by
+    side, with points in a drawn order and a few entries replaced (breaking
+    the composition law), now and then by a point outside the space."""
+    group = draw(st.sampled_from(GROUPS))
+    space, rows = [], [[] for _ in group.carrier]
+    for tag in range(draw(st.integers(1, 2))):
+        seed = draw(st.lists(st.sampled_from(group.carrier.elements), max_size=2))
+        cosets = oracle.coset_action(group, oracle.subgroup_closure(group, seed))
+        labels = [f"{tag}.{k}" for k in range(len(cosets.space))]
+        space += labels
+        for row, images in zip(rows, cosets.table):
+            row += [labels[cosets.space.index(c)] for c in images]
+    order = draw(st.permutations(range(len(space))))
+    space, rows = [space[i] for i in order], [[row[i] for i in order] for row in rows]
+    cell = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(space) - 1))
+    for g, x in draw(st.lists(cell, max_size=3)):
+        rows[g][x] = draw(st.sampled_from(space))
+    if stray and draw(st.integers(0, 9)) == 0:
+        g, x = draw(cell)
+        rows[g][x] = "out"
+    grades = draw(st.lists(st.sampled_from([F(0), F(1, 2), F(1)]),
+                           min_size=len(space), max_size=len(space)))
+    carrier = Carrier(tuple(space))
+    return FiniteAction(group, carrier, FuzzySet(carrier, tuple(grades)), rows)
+
+
+@st.composite
+def fuzzy_subsets(draw, action):
+    """Grades k/4 on the space: at random, or constant on each component of
+    the action graph (an invariant set), then maybe one grade moved."""
+    grade = st.integers(0, 4).map(lambda k: F(k, 4))
+    if draw(st.booleans()):
+        grades = {x: draw(grade) for x in action.space}
+    else:
+        grades = {x: g for part in components(action) for g in [draw(grade)] for x in part}
+        if draw(st.booleans()):
+            grades[draw(st.sampled_from(action.space.elements))] = draw(grade)
+    return FuzzySet.from_map(action.space, grades)
+
+
+@st.composite
+def relations(draw, action):
+    """A partition of the space into classes with members in a drawn order:
+    unions of components (preserved by the action) or of single points."""
+    if draw(st.booleans()):
+        items = components(action)
+    else:
+        items = [[x] for x in action.space]
+    block = draw(st.lists(st.integers(0, len(items) - 1),
+                          min_size=len(items), max_size=len(items)))
+    classes = [[x for item, b in zip(items, block) if b == k for x in item]
+               for k in range(len(items))]
+    return EquivalenceRelation([draw(st.permutations(c)) for c in classes if c])
+
+
+@settings(max_examples=200, deadline=None)
+@given(actions())
+def test_verify_action_matches_label_loop(action):
+    assert same(verify_action(action), oracle.verify_action(action))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_invariance_and_restrictions_match_label_loops(data):
+    """The index scans read the action table, so these actions stay in their
+    space, as every action that passed verify_action or the parser does."""
+    action = data.draw(actions(stray=False))
+    s = data.draw(fuzzy_subsets(action))
+    assert same(is_G_invariant(action, s), oracle.is_G_invariant(action, s))
+    assert outcome(restrict_to_invariant, action, s) == outcome(
+        oracle.restrict_to_invariant, action, s)
+    elements = data.draw(subsets(action.group))
+    assert outcome(restrict_to_subgroup, action, elements) == outcome(
+        oracle.restrict_to_subgroup, action, elements)
+    rho = data.draw(relations(action))
+    got, want = outcome(quotient_action, action, rho), outcome(oracle.quotient_action, action, rho)
+    assert got == want
+    if isinstance(got, FiniteAction):
+        assert (got.space, got.table) == (want.space, want.table)
+
+
+def test_s5_on_itself_is_fast():
+    """One pass over the action table for invariance and one row-wise scan
+    for the composition law.  On a 2-core VM they take about 0.01 s and
+    0.04 s, and the label loops in groups_oracle.py 0.7 s and 1.7 s."""
+    s5 = symmetric_group(5)
+    action = FiniteAction.from_function(s5, s5.carrier, s5.op)
+    s = FuzzySet.constant(action.space, F(1, 2))
+    for check in (lambda: is_G_invariant(action, s), lambda: verify_action(action)):
+        start = time.perf_counter()
+        assert check().ok
+        assert time.perf_counter() - start < 0.25
