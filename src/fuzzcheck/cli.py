@@ -289,44 +289,45 @@ def cmd_demo_circle(args) -> Report:
     n = args.samples_per_chart
     phi = manifold.circle_phi_atlas(n, tol)
     psi = manifold.circle_psi_atlas(n, tol)
-    phi_rep = manifold.check_atlas(phi, normalize_cover=args.normalize_cover)
-    psi_rep = manifold.check_atlas(psi, normalize_cover=args.normalize_cover)
-    cross = manifold.check_atlas(phi, psi, normalize_cover=args.normalize_cover)
+    # One pass over the pairs within phi, then within psi, then across.
+    both = manifold.check_atlas(phi, psi, normalize_cover=args.normalize_cover)
+    phi_cover = both.cover
+    psi_cover = manifold.check_cover_condition(psi, normalize=args.normalize_cover)
     tr_phi = manifold.transition_map(phi, 0, 1)
     tr_psi = manifold.transition_map(psi, 0, 1)
-    max_stab = max(
-        [pc.report.max_stability_error for rep_ in (phi_rep, psi_rep, cross)
-         for pc in rep_.pairs],
-        default=0.0,
-    )
-    ok = (phi_rep.transitions_ok and psi_rep.transitions_ok and cross.transitions_ok
-          and phi_rep.cover.ok and psi_rep.cover.ok)
+
+    def transitions_ok(atlas):
+        labels = {chart.label for chart in atlas.charts}
+        return all(pc.report.ok for pc in both.pairs
+                   if pc.source_label in labels and pc.target_label in labels)
+
+    ok = both.transitions_ok and phi_cover.ok and psi_cover.ok
     rep = Report(
         "demo-circle",
         "pass" if ok else "fail",
         "circle-atlas-fixture",
         metrics={
-            "phi_cover_deficiency": phi_rep.cover.max_deficiency,
-            "phi_cover_worst_point": phi_rep.cover.worst_point,
-            "psi_cover_deficiency": psi_rep.cover.max_deficiency,
-            "phi_transitions_ok": phi_rep.transitions_ok,
-            "psi_transitions_ok": psi_rep.transitions_ok,
-            "cross_transitions_ok": cross.transitions_ok,
+            "phi_cover_deficiency": phi_cover.max_deficiency,
+            "phi_cover_worst_point": phi_cover.worst_point,
+            "psi_cover_deficiency": psi_cover.max_deficiency,
+            "phi_transitions_ok": transitions_ok(phi),
+            "psi_transitions_ok": transitions_ok(psi),
+            "cross_transitions_ok": both.transitions_ok,
             "phi21_at_0.25": tr_phi(0.25),
             "phi21_at_0.75": tr_phi(0.75),
             "psi21_at_0.6": tr_psi(0.6),
-            "max_stability_error": max_stab,
+            "max_stability_error": max((pc.report.max_stability_error for pc in both.pairs),
+                                       default=0.0),
             "samples_per_chart": n,
         },
     )
-    if not ok:
-        if not (phi_rep.cover.ok and psi_rep.cover.ok):
-            rep.witness["reason"] = "cover supremum below 1 as the memberships are written"
-            rep.witness["at"] = (phi_rep if not phi_rep.cover.ok else psi_rep).cover.worst_point
-        else:
-            bad = next(pc for rep_ in (phi_rep, psi_rep, cross)
-                       for pc in rep_.pairs if not pc.report.ok)
-            rep.witness["reason"] = f"{bad.source_label}->{bad.target_label}: {bad.report.reason}"
+    bad_cover = next((cover for cover in (phi_cover, psi_cover) if not cover.ok), None)
+    if bad_cover is not None:
+        rep.witness["reason"] = "cover supremum below 1 as the memberships are written"
+        rep.witness["at"] = bad_cover.worst_point
+    elif not ok:
+        bad = next(pc for pc in both.pairs if not pc.report.ok)
+        rep.witness["reason"] = f"{bad.source_label}->{bad.target_label}: {bad.report.reason}"
     return rep
 
 
@@ -381,23 +382,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fuzzcheck",
         description="Witness-producing checkers for fuzzy algebraic structures.",
     )
+    # Each subcommand takes --format plus only the flags its handler reads.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "machine"), default="human")
-    common.add_argument("--lattice-q", type=int, default=None,
-                        help="grade lattice resolution override")
-    common.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                        help="numeric tolerance override (repeatable)")
-    common.add_argument("--normalize-cover", action="store_true",
-                        help="rescale chart memberships so positive sups count as 1")
-    common.add_argument("--samples", default=None,
-                        help="sample-set file for Lie checks")
-    common.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP,
-                        help="resource cap for topology closure size")
+    topo_flags = argparse.ArgumentParser(add_help=False)
+    topo_flags.add_argument("--lattice-q", type=int, default=None,
+                            help="grade lattice resolution override")
+    topo_flags.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP,
+                            help="resource cap for topology closure size")
+    numeric_flags = argparse.ArgumentParser(add_help=False)
+    numeric_flags.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
+                               help="numeric tolerance override (repeatable)")
+    numeric_flags.add_argument("--normalize-cover", action="store_true",
+                               help="rescale chart memberships so positive sups count as 1")
+    sample_flags = argparse.ArgumentParser(add_help=False)
+    sample_flags.add_argument("--samples", default=None, help="sample-set file for Lie checks")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **positional):
-        p = sub.add_parser(name, parents=[common])
+    def add(name, handler, *parents, **positional):
+        p = sub.add_parser(name, parents=[common, *parents])
         for arg, kwargs in positional.items():
             p.add_argument(arg, **kwargs)
         p.set_defaults(handler=handler)
@@ -407,16 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
         group={"help": "group file"}, fuzzy_set={"help": "fuzzy set file"})
     add("check-homomorphism", cmd_check_homomorphism,
         map={"help": "map file"}, source_group={}, target_group={})
-    p = add("check-topology", cmd_check_topology, topology={"help": "topology file"})
+    p = add("check-topology", cmd_check_topology, topo_flags, topology={"help": "topology file"})
     p.add_argument("--literal", action="store_true",
                    help="verify the listed family itself instead of its closure")
     p.add_argument("--base", nargs="*", default=None,
                    help="fuzzy set files to test as an open base")
-    add("check-t1", cmd_check_separation, topology={})
-    add("check-hausdorff", cmd_check_separation, topology={})
-    add("check-continuity", cmd_check_continuity,
+    add("check-t1", cmd_check_separation, topo_flags, topology={})
+    add("check-hausdorff", cmd_check_separation, topo_flags, topology={})
+    add("check-continuity", cmd_check_continuity, topo_flags,
         map={}, source_topology={}, target_topology={})
-    add("check-topgroup", cmd_check_topgroup, group={}, topology={})
+    add("check-topgroup", cmd_check_topgroup, topo_flags, group={}, topology={})
     add("check-action", cmd_check_action, group={}, action={})
     add("check-invariant", cmd_check_invariant, group={}, action={}, fuzzy_set={})
     p = add("restrict", cmd_restrict, group={}, action={})
@@ -426,12 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="invariant fuzzy set file")
     add("quotient", cmd_quotient, group={}, action={}, relation={})
     add("check-lie", cmd_check_lie, constants={})
-    add("check-lie-subalgebra", cmd_check_lie_predicate, constants={}, classifier={})
-    add("check-lie-ideal", cmd_check_lie_predicate, constants={}, classifier={})
+    add("check-lie-subalgebra", cmd_check_lie_predicate, sample_flags, constants={}, classifier={})
+    add("check-lie-ideal", cmd_check_lie_predicate, sample_flags, constants={}, classifier={})
     add("level-set", cmd_level_set, fuzzy_set={}, threshold={})
-    p = add("check-atlas", cmd_check_atlas)
+    p = add("check-atlas", cmd_check_atlas, numeric_flags)
     p.add_argument("charts", nargs="+", help="chart table files")
-    p = add("demo-circle", cmd_demo_circle)
+    p = add("demo-circle", cmd_demo_circle, numeric_flags)
     p.add_argument("--samples-per-chart", type=int, default=1024)
     p = add("demo-gl", cmd_demo_gl)
     p.add_argument("--n", type=int, default=2)

@@ -153,14 +153,12 @@ def is_fuzzy_topological_group(group: FiniteGroup, tau: FuzzyTopology) -> Verdic
     ones = FuzzySet.ones(group.carrier)
     if tau.ambient != ones:
         raise CarrierMismatchError("topology ambient must be the all-ones set on the group")
-    inv_map = ProperFunction(ones, ones, tuple(group.inv(x) for x in group.carrier))
-    flags = check_map(inv_map, tau, tau)
+    flags = check_map(ProperFunction(ones, ones, group.inverses), tau, tau)
     if not flags.continuous:
         return Verdict.failed("inversion is not fuzzy continuous", witness=flags.witness)
     tau2 = product_topology(tau, tau)
-    mult = ProperFunction(
-        tau2.ambient, ones, tuple(group.op(x, y) for (x, y) in tau2.ambient.carrier)
-    )
+    # The product carrier is row-major, as is the Cayley table.
+    mult = ProperFunction(tau2.ambient, ones, tuple(itertools.chain.from_iterable(group.table)))
     flags = check_map(mult, tau2, tau)
     if not flags.continuous:
         return Verdict.failed("multiplication is not fuzzy continuous", witness=flags.witness)

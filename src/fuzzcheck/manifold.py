@@ -65,8 +65,7 @@ class CoverReport:
 def check_cover_condition(atlas: Atlas, normalize: bool = False) -> CoverReport:
     """Per sample, 1 - sup of chart memberships.  Never repairs an atlas:
     with normalize=True each positive sup is rescaled to 1 (the intended
-    reading), otherwise the raw supremum is reported.  Any object with
-    charts, samples and tolerances will do, such as a ProductAtlas."""
+    reading), otherwise the raw supremum is reported."""
     worst, worst_point = 0.0, None
     for p in atlas.samples:
         deficiency = cover_deficiency_at(atlas, p, normalize)
@@ -81,11 +80,6 @@ def cover_deficiency_at(atlas: Atlas, point, normalize: bool = False) -> float:
     if normalize and sup > 0.0:
         sup = 1.0
     return 1.0 - sup
-
-
-def _overlap(samples, src, tgt) -> list:
-    """The samples lying in the supports of both charts, in sample order."""
-    return [p for p in samples if src.membership(p) > 0.0 and tgt.membership(p) > 0.0]
 
 
 class EmptyOverlapError(ValueError):
@@ -118,17 +112,19 @@ def transition_map(atlas: Atlas, j: int, l: int, atlas2: Optional[Atlas] = None)
     other = atlas2 if atlas2 is not None else atlas
     tgt = other.charts[l]
     tol = atlas.tolerances
-    pts = _overlap(atlas.samples, src, tgt)
+    pts = [p for p in atlas.samples if src.membership(p) > 0.0 and tgt.membership(p) > 0.0]
     if not pts:
         raise EmptyOverlapError(f"charts {src.label} and {tgt.label} do not overlap on the samples")
     coords = np.array([src.coord(p) for p in pts], dtype=float)
     values = np.array([tgt.coord(p) for p in pts], dtype=float)
     order = np.argsort(coords)
     coords, values = coords[order], values[order]
-    # coord_inverse consistency on the sampled coordinates.
-    for s in coords[:: max(1, len(coords) // 32)]:
-        if abs(src.coord(src.coord_inverse(float(s))) - s) > tol.eps_inv:
-            raise ValueError(f"chart {src.label}: coord o coord_inverse deviates at {s}")
+    # coord_inverse consistency on the sampled coordinates; a tabulated
+    # chart has no inverse to check.
+    if src.coord_inverse is not None:
+        for s in coords[:: max(1, len(coords) // 32)]:
+            if abs(src.coord(src.coord_inverse(float(s))) - s) > tol.eps_inv:
+                raise ValueError(f"chart {src.label}: coord o coord_inverse deviates at {s}")
     seam_pts = atlas.seam_points + (atlas2.seam_points if atlas2 is not None else ())
     seams = tuple(sorted({src.coord(p) for p in seam_pts if src.membership(p) > 0.0}))
     inverse_seams = tuple(sorted({tgt.coord(p) for p in seam_pts if tgt.membership(p) > 0.0}))
@@ -147,8 +143,6 @@ class C1Report:
     max_stability_error: float = 0.0   # max relative |D_{h/2} - D_{h/4}|
     max_derivative_jump: float = 0.0   # max |dD/ds| between adjacent samples
     checked_points: int = 0
-    derivatives: Optional[np.ndarray] = None
-    grid: Optional[np.ndarray] = None
 
 
 def _split_components(grid: np.ndarray, seams: Sequence[float]) -> list:
@@ -218,8 +212,6 @@ def check_c1_diffeo(
 
     report = C1Report(True)
     seam_margin = tol.seam_margin_factor * tol.h0
-    checked_any = False
-    all_d, all_s = [], []
     for piece in _split_components(grid, seams):
         comp = grid[piece]
         span = float(comp[-1] - comp[0])
@@ -229,7 +221,6 @@ def check_c1_diffeo(
                and all(abs(s - seam) >= seam_margin for seam in seams)]
         if len(pts) < 3:
             continue
-        checked_any = True
         h = tol.h0
         scale = tol.eps_deriv * (h / tol.h_min) ** 2
         derivs = []
@@ -255,12 +246,8 @@ def check_c1_diffeo(
                 witness=(pts[i], pts[i + 1]),
             )
         report.checked_points += len(pts)
-        all_d.extend(derivs)
-        all_s.extend(pts)
-    if not checked_any:
+    if report.checked_points == 0:
         return C1Report(False, "grid too small", witness=len(grid))
-    report.derivatives = np.array(all_d)
-    report.grid = np.array(all_s)
 
     if inverse_fn is not None:
         inv = check_c1_diffeo(inverse_fn, np.sort(values), tol, seams=inverse_seams)
@@ -307,29 +294,27 @@ def _factor_pairs(atlas: Atlas, atlas2: Optional[Atlas]) -> list:
 
 def check_atlas(atlas: Atlas, atlas2: Optional[Atlas] = None,
                 normalize_cover: bool = False) -> AtlasReport:
-    """Cover diagnostics plus every pairwise (and, with a second atlas,
-    cross) transition C1 check."""
+    """Cover diagnostics of the first atlas plus every pairwise (and, with a
+    second atlas, cross) transition C1 check.  A transition between charts
+    with inverse formulas gets check_c1_diffeo; one involving a tabulated
+    chart, which has none, gets check_c1_tabulated over the overlap table."""
     if atlas2 is not None and atlas.samples != atlas2.samples:
         raise ValueError("compatibility checks require a shared sample list")
     cover = check_cover_condition(atlas, normalize=normalize_cover)
     pairs = []
-    ok = True
     for src_atlas, j, l, cross in _factor_pairs(atlas, atlas2):
         try:
             tr = transition_map(src_atlas, j, l, atlas2=cross)
         except EmptyOverlapError:
             continue
-        rep = check_c1_diffeo(
-            tr,
-            tr.coords,
-            src_atlas.tolerances,
-            seams=tr.seams,
-            inverse_fn=tr.inverse,
-            inverse_seams=tr.inverse_seams,
-        )
+        tol = src_atlas.tolerances
+        if tr.source.coord_inverse is None or tr.target.coord_inverse is None:
+            rep = check_c1_tabulated(tr.coords, tr.values, tol)
+        else:
+            rep = check_c1_diffeo(tr, tr.coords, tol, seams=tr.seams, inverse_fn=tr.inverse,
+                                  inverse_seams=tr.inverse_seams)
         pairs.append(PairCheck(tr.source.label, tr.target.label, rep))
-        ok = ok and rep.ok
-    return AtlasReport(cover, pairs, ok)
+    return AtlasReport(cover, pairs, all(pc.report.ok for pc in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +398,13 @@ class ProductChart:
         return (self.first.coord(point[0]), self.second.coord(point[1]))
 
 
-@dataclass(frozen=True)
-class ProductAtlas:
+@dataclass(frozen=True, kw_only=True)
+class ProductAtlas(Atlas):
+    """The atlas of product charts over the product samples, with its two
+    factors kept for the factor-wise transition checks."""
+
     first: Atlas
     second: Atlas
-    charts: tuple
-    samples: tuple
-    tolerances: Tolerances
 
 
 def product_atlas(a: Atlas, b: Atlas) -> ProductAtlas:
@@ -429,7 +414,7 @@ def product_atlas(a: Atlas, b: Atlas) -> ProductAtlas:
         for cb in b.charts
     )
     samples = tuple((p, q) for p in a.samples for q in b.samples)
-    return ProductAtlas(a, b, charts, samples, a.tolerances)
+    return ProductAtlas(charts, samples, a.tolerances, first=a, second=b)
 
 
 def check_product_atlas(pa: ProductAtlas, normalize_cover: bool = False) -> AtlasReport:
@@ -490,20 +475,7 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
         charts.append(SampledChart(f"chart{j}", lambda p, member=member: member.get(p, 0.0),
                                    dict(zip(points, params)).__getitem__, None))
         samples.update(dict.fromkeys(points))
-    atlas = Atlas(charts, samples, tol)
-    cover = check_cover_condition(atlas, normalize=normalize_cover)
-    pairs = []
-    ok = True
-    for _, j, l, _ in _factor_pairs(atlas, None):
-        src, tgt = atlas.charts[j], atlas.charts[l]
-        shared = _overlap(atlas.samples, src, tgt)
-        if not shared:
-            continue
-        rep = check_c1_tabulated([src.coord(p) for p in shared],
-                                 [tgt.coord(p) for p in shared], tol)
-        pairs.append(PairCheck(src.label, tgt.label, rep))
-        ok = ok and rep.ok
-    return AtlasReport(cover, pairs, ok)
+    return check_atlas(Atlas(charts, samples, tol), normalize_cover=normalize_cover)
 
 
 # ---------------------------------------------------------------------------

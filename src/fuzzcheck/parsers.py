@@ -64,7 +64,9 @@ def load_fuzzy_set(path, carrier: Carrier | None = None) -> FuzzySet:
     When a carrier is given the file must grade exactly its elements."""
     grades = {}
     for no, line in _lines(path):
-        _read_grade(path, no, line, grades)
+        elem = _read_grade(path, no, line, grades)
+        if carrier is not None and elem not in carrier:
+            raise ParseError(path, no, f"element {elem!r} not in the carrier")
     if not grades:
         raise ParseError(path, 1, "empty fuzzy set file")
     if carrier is None:
@@ -73,9 +75,6 @@ def load_fuzzy_set(path, carrier: Carrier | None = None) -> FuzzySet:
         missing = [x for x in carrier if x not in grades]
         if missing:
             raise ParseError(path, 1, f"element {missing[0]!r} has no grade")
-        extra = [x for x in grades if x not in carrier]
-        if extra:
-            raise ParseError(path, 1, f"element {extra[0]!r} not in the carrier")
     return FuzzySet.from_map(carrier, grades)
 
 
@@ -243,6 +242,7 @@ def load_structure_constants(path) -> StructureConstants:
     for no, line in _lines(path):
         parts = line.split()
         if parts[0] == "dim":
+            _once(path, no, dim, "dim")
             if len(parts) != 2:
                 raise ParseError(path, no, "expected 'dim n'")
             try:
@@ -301,6 +301,7 @@ def load_classifier(path, dim: int) -> MembershipClassifier:
     default = None
     for no, line in _lines(path):
         if line.startswith("default"):
+            _once(path, no, default, "default")
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(path, no, "expected 'default grade'")

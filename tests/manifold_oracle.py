@@ -1,11 +1,15 @@
-"""Reference implementations of the tabulated-chart checks.
+"""Reference implementations of the tabulated-chart checks and of the
+circle demo.
 
 These are the loop-based table transition check and the tabulated atlas
 check with its own cover loop and overlap filter, as the library had them
-before the cover and C1 scans were shared with the callable charts.  The
+before the cover and C1 scans were shared with the callable charts, and
+the `demo-circle` handler that checked each atlas on its own and then both
+together, so that every transition within an atlas ran twice.  The
 differential tests in `test_manifold_oracle.py` require the library to
-agree with them on every report field.  They divide by zero on a table
-whose params repeat, so the tests draw distinct params only.
+agree with them on every report field, and the CLI on every machine line.
+The table checks divide by zero on a table whose params repeat, so the
+tests draw distinct params only.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from dataclasses import replace
 
 import numpy as np
 
+from fuzzcheck import manifold
+from fuzzcheck.cli import _tolerances
 from fuzzcheck.manifold import AtlasReport, C1Report, CoverReport, PairCheck, Tolerances
+from fuzzcheck.report import Report
 
 
 def _split_components(grid, seams):
@@ -103,3 +110,49 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
             pairs.append(PairCheck(f"chart{j}", f"chart{l}", rep))
             ok = ok and rep.ok
     return AtlasReport(cover, pairs, ok)
+
+
+def cmd_demo_circle(args) -> Report:
+    tol = _tolerances(args)
+    n = args.samples_per_chart
+    phi = manifold.circle_phi_atlas(n, tol)
+    psi = manifold.circle_psi_atlas(n, tol)
+    phi_rep = manifold.check_atlas(phi, normalize_cover=args.normalize_cover)
+    psi_rep = manifold.check_atlas(psi, normalize_cover=args.normalize_cover)
+    cross = manifold.check_atlas(phi, psi, normalize_cover=args.normalize_cover)
+    tr_phi = manifold.transition_map(phi, 0, 1)
+    tr_psi = manifold.transition_map(psi, 0, 1)
+    max_stab = max(
+        [pc.report.max_stability_error for rep_ in (phi_rep, psi_rep, cross)
+         for pc in rep_.pairs],
+        default=0.0,
+    )
+    ok = (phi_rep.transitions_ok and psi_rep.transitions_ok and cross.transitions_ok
+          and phi_rep.cover.ok and psi_rep.cover.ok)
+    rep = Report(
+        "demo-circle",
+        "pass" if ok else "fail",
+        "circle-atlas-fixture",
+        metrics={
+            "phi_cover_deficiency": phi_rep.cover.max_deficiency,
+            "phi_cover_worst_point": phi_rep.cover.worst_point,
+            "psi_cover_deficiency": psi_rep.cover.max_deficiency,
+            "phi_transitions_ok": phi_rep.transitions_ok,
+            "psi_transitions_ok": psi_rep.transitions_ok,
+            "cross_transitions_ok": cross.transitions_ok,
+            "phi21_at_0.25": tr_phi(0.25),
+            "phi21_at_0.75": tr_phi(0.75),
+            "psi21_at_0.6": tr_psi(0.6),
+            "max_stability_error": max_stab,
+            "samples_per_chart": n,
+        },
+    )
+    if not ok:
+        if not (phi_rep.cover.ok and psi_rep.cover.ok):
+            rep.witness["reason"] = "cover supremum below 1 as the memberships are written"
+            rep.witness["at"] = (phi_rep if not phi_rep.cover.ok else psi_rep).cover.worst_point
+        else:
+            bad = next(pc for rep_ in (phi_rep, psi_rep, cross)
+                       for pc in rep_.pairs if not pc.report.ok)
+            rep.witness["reason"] = f"{bad.source_label}->{bad.target_label}: {bad.report.reason}"
+    return rep

@@ -412,6 +412,40 @@ class TestRejectedLines:
         reason = self.reason("check-action", z4, act)
         assert "act.txt:7" in reason and "'9'" in reason
 
+    def test_second_dim(self, tmp_path):
+        sc = put(tmp_path, "sc.txt", "dim 3\n1 2 3 1\n2 1 3 -1\ndim 2\n")
+        assert "sc.txt:4: repeated 'dim' line" in self.reason("check-lie", sc)
+
+    def test_second_default(self, tmp_path):
+        sc = put(tmp_path, "sc.txt", TestLieCommands.CROSS)
+        mu = put(tmp_path, "mu.txt", TestLieCommands.Z_AXIS.replace(
+            "default 0\n", "default 1/4\ndefault 0\n"))
+        assert "mu.txt:4: repeated 'default' line" in self.reason("check-lie-subalgebra", sc, mu)
+
+    def test_element_outside_carrier_names_its_line(self, tmp_path, z4):
+        mu = put(tmp_path, "mu.txt", Z4_SUBGROUP_SET + "z 1\n")
+        reason = self.reason("check-subgroup", z4, mu)
+        assert "mu.txt:5: element 'z' not in the carrier" in reason
+
+
+class TestFlagsPerCommand:
+    """Each subcommand accepts only the flags its handler reads; any other
+    flag is a usage error, not silently ignored."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check-subgroup", "G", "MU", "--cap", "5"],
+        ["check-subgroup", "G", "MU", "--tolerance", "foo=1"],
+        ["check-lie", "SC", "--samples", "S"],
+        ["level-set", "MU", "1/2", "--lattice-q", "4"],
+        ["check-topology", "T", "--normalize-cover"],
+        ["check-atlas", "C", "--cap", "5"],
+        ["demo-gl", "--tolerance", "h0=1"],
+    ])
+    def test_ignored_flag_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run(*argv)
+        assert err.value.code == 2
+
 
 class TestWitnessSelfAudit:
     """Failure witnesses printed by the CLI must refute the property when

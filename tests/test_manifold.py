@@ -167,6 +167,13 @@ class TestProductAtlas:
         pa = product_atlas(circle_phi_atlas(64), circle_psi_atlas(64))
         assert len(pa.charts) == 8
 
+    def test_product_atlas_is_an_atlas(self):
+        a, b = circle_phi_atlas(16), circle_psi_atlas(16)
+        pa = product_atlas(a, b)
+        assert isinstance(pa, Atlas)
+        assert (pa.first, pa.second, pa.tolerances) == (a, b, a.tolerances)
+        assert len(pa.samples) == 16 * 16
+
 
 class TestTabulatedCharts:
     @staticmethod

@@ -1,11 +1,18 @@
 """Differential tests: the tabulated-chart checks against the loop-based
 reference in `manifold_oracle.py`.  Verdicts, reasons, witnesses, the
 largest derivative jump, checked-point counts and cover reports must be
-equal on random tables with kinks, gaps and dips."""
+equal on random tables with kinks, gaps and dips.  The `demo-circle`
+command's machine output must equal the reference handler's, which checks
+each atlas on its own before checking both together."""
 
+import contextlib
+import io
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import manifold_oracle as oracle
+from fuzzcheck import cli, manifold
 from fuzzcheck.manifold import Tolerances, check_c1_tabulated, check_tabulated_atlas
 
 STEP = 1.0 / 64.0
@@ -83,3 +90,50 @@ def test_tabulated_atlas_matches_reference(charts, tol, normalize):
     assert got.transitions_ok == want.transitions_ok
     assert [(p.source_label, p.target_label, _fields(p.report)) for p in got.pairs] == \
         [(p.source_label, p.target_label, _fields(p.report)) for p in want.pairs]
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.execute(argv)
+    return code, buf.getvalue()
+
+
+# Overrides that fail the jump scan, the stability scan, the coord_inverse
+# round trip (exit 2), one cover but not the other, and a transition after
+# both covers pass.
+DEMO_TOLERANCES = [[], ["lipschitz_cap=30"], ["eps_deriv=1e-15"], ["eps_inv=1e-18"],
+                   ["cover_eps=0.5"], ["cover_eps=0.75", "h0=0.02"]]
+
+
+@pytest.mark.parametrize("tolerances", DEMO_TOLERANCES)
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("samples", [16, 64, 256, 1024])
+def test_demo_circle_matches_reference(monkeypatch, samples, normalize, tolerances):
+    argv = ["demo-circle", "--samples-per-chart", str(samples), "--format", "machine"]
+    argv += ["--normalize-cover"] * normalize
+    argv += [arg for item in tolerances for arg in ("--tolerance", item)]
+    got = _run(argv)
+    monkeypatch.setattr(cli, "cmd_demo_circle", oracle.cmd_demo_circle)
+    assert got == _run(argv)
+
+
+def test_demo_circle_checks_each_transition_once(monkeypatch):
+    phi, psi = manifold.circle_phi_atlas(64), manifold.circle_psi_atlas(64)
+    pairs = manifold.check_atlas(phi, psi).pairs
+    real, depth, calls = manifold.check_c1_diffeo, [0], []
+
+    def spy(fn, *args, **kwargs):
+        # The inverse check recurses; count only the pair checks.
+        if depth[0] == 0:
+            calls.append(fn)
+        depth[0] += 1
+        try:
+            return real(fn, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(manifold, "check_c1_diffeo", spy)
+    assert _run(["demo-circle", "--samples-per-chart", "64", "--format", "machine"])[0] == 1
+    assert [(tr.source.label, tr.target.label) for tr in calls] == \
+        [(pc.source_label, pc.target_label) for pc in pairs]
