@@ -67,11 +67,15 @@ def _tolerances(args) -> manifold.Tolerances:
         name, value = item.split("=", 1)
         if name not in fields:
             raise FuzzcheckError(f"unknown tolerance {name!r}; known: {sorted(fields)}")
+        try:
+            v = float(value)
+        except ValueError:
+            v = math.nan  # not a number: rejected below like NaN
         # NaN fails every comparison and would switch its check off; a zero step divides by 0.
-        v = overrides[name] = float(value)
         if not math.isfinite(v) or v < 0 or (v == 0 and name in ("h0", "h_min")):
             raise FuzzcheckError(
                 f"tolerance {name} must be finite and >= 0 (> 0 for h0 and h_min), got {value}")
+        overrides[name] = v
     return manifold.Tolerances(**overrides)
 
 
@@ -401,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, *parents, **positional):
-        p = sub.add_parser(name, parents=[common, *parents])
+        # A mistyped or misplaced flag is an error, not a prefix of another flag.
+        p = sub.add_parser(name, parents=[common, *parents], allow_abbrev=False)
         for arg, kwargs in positional.items():
             p.add_argument(arg, **kwargs)
         p.set_defaults(handler=handler)

@@ -37,6 +37,23 @@ def _lines(path):
                 yield no, line
 
 
+def _parse(path, no, fn, *args, message=None):
+    """Return fn(*args); a failed conversion or an unreadable file becomes a
+    ParseError at line `no`, worded as `message` or else as the exception."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        raise ParseError(path, no, message or str(exc)) from None
+
+
+def _arrow(path, no, line, form):
+    """The two nonempty sides of a `lhs -> rhs` line written as `form`."""
+    lhs, arrow, rhs = (part.strip() for part in line.partition("->"))
+    if not (lhs and arrow and rhs):
+        raise ParseError(path, no, f"expected {form!r}")
+    return lhs, rhs
+
+
 def _once(path, no, value, header):
     """Reject a header line whose value an earlier line already set."""
     if value is not None:
@@ -52,10 +69,7 @@ def _read_grade(path, no, line, grades: dict):
     elem, grade_text = parts
     if elem in grades:
         raise ParseError(path, no, f"duplicate element {elem!r}")
-    try:
-        grades[elem] = parse_grade(grade_text)
-    except ValueError as exc:
-        raise ParseError(path, no, str(exc)) from None
+    grades[elem] = _parse(path, no, parse_grade, grade_text)
     return elem
 
 
@@ -82,25 +96,22 @@ def load_map(path) -> tuple:
     """`source: <set file>` and `target: <set file>` headers, each once, then
     one `x -> y` line per source element.  Paths resolve relative to the file."""
     base = os.path.dirname(os.path.abspath(path))
-    paths = {}
+    paths = {}  # header -> (set file, line number)
     mapping = {}  # x -> (y, line number)
     for no, line in _lines(path):
         header, _, rest = line.partition(":")
         if header in ("source", "target"):
             _once(path, no, paths.get(header), header + ":")
-            paths[header] = os.path.join(base, rest.strip())
+            paths[header] = os.path.join(base, rest.strip()), no
             continue
-        if "->" not in line:
-            raise ParseError(path, no, "expected 'x -> y'")
-        lhs, rhs = (side.strip() for side in line.split("->", 1))
-        if not lhs or not rhs:
-            raise ParseError(path, no, "expected 'x -> y'")
+        lhs, rhs = _arrow(path, no, line, "x -> y")
         if lhs in mapping:
             raise ParseError(path, no, f"duplicate mapping for {lhs!r}")
         mapping[lhs] = rhs, no
     if len(paths) != 2:
         raise ParseError(path, 1, "missing 'source:' or 'target:' header")
-    source, target = load_fuzzy_set(paths["source"]), load_fuzzy_set(paths["target"])
+    source, target = (_parse(path, no, load_fuzzy_set, set_path)
+                      for set_path, no in (paths["source"], paths["target"]))
     for x, (y, no) in mapping.items():
         if x not in source.carrier:
             raise ParseError(path, no, f"{x!r} is not a source element")
@@ -121,6 +132,7 @@ def load_group(path) -> FiniteGroup:
             elements = tuple(line.split(":", 1)[1].split())
             if not elements:
                 raise ParseError(path, no, "empty element list")
+            known = set(elements)
             continue
         if elements is None:
             raise ParseError(path, no, "expected 'elements:' line first")
@@ -129,15 +141,15 @@ def load_group(path) -> FiniteGroup:
             raise ParseError(
                 path, no, f"Cayley row has {len(row)} entries, expected {len(elements)}"
             )
+        stray = next((v for v in row if v not in known), None)
+        if stray is not None:
+            raise ParseError(path, no, f"Cayley entry {stray!r} is not an element")
         rows.append(row)
     if elements is None:
         raise ParseError(path, 1, "missing 'elements:' line")
     if len(rows) != len(elements):
         raise ParseError(path, 1, f"expected {len(elements)} Cayley rows, got {len(rows)}")
-    try:
-        return FiniteGroup.from_table(elements, rows)
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
+    return _parse(path, 1, FiniteGroup.from_table, elements, rows)
 
 
 def load_topology(path) -> tuple:
@@ -148,29 +160,29 @@ def load_topology(path) -> tuple:
     ambient = lattice = current = None
     generators = []
 
-    def flush(no):
+    def flush():
+        """Close the block opened on line `gen_no`; an empty one is an error there."""
         if current is not None:
             if not current:
-                raise ParseError(path, no, "empty generator block")
+                raise ParseError(path, gen_no, "empty generator block")
             generators.append(FuzzySet.from_map(ambient.carrier, current))
 
     for no, line in _lines(path):
         if line.startswith("ambient:"):
             _once(path, no, ambient, "ambient:")
-            ambient = load_fuzzy_set(os.path.join(base, line.split(":", 1)[1].strip()))
+            ambient = _parse(path, no, load_fuzzy_set,
+                             os.path.join(base, line.split(":", 1)[1].strip()))
             continue
         if line.startswith("q="):
             _once(path, no, lattice, "q=")
-            try:
-                lattice = GradeLattice(int(line[2:].strip()))
-            except ValueError:
-                raise ParseError(path, no, "expected q=<positive integer>") from None
+            lattice = _parse(path, no, lambda: GradeLattice(int(line[2:])),
+                             message="expected q=<positive integer>")
             continue
         if line == "gen:":
             if ambient is None:
                 raise ParseError(path, no, "generator before 'ambient:' line")
-            flush(no)
-            current = {}
+            flush()
+            current, gen_no = {}, no
             continue
         if current is None:
             raise ParseError(path, no, "expected 'ambient:', 'q=', or 'gen:'")
@@ -181,7 +193,7 @@ def load_topology(path) -> tuple:
         raise ParseError(path, 1, "missing 'ambient:' line")
     if lattice is None:
         raise ParseError(path, 1, "missing 'q=' line")
-    flush(0)
+    flush()
     return ambient, generators, lattice
 
 
@@ -190,11 +202,9 @@ def load_action(path, group: FiniteGroup) -> FiniteAction:
     is the ordered set of points as first seen on the x side."""
     entries = {}  # (g, x) -> (y, line number)
     for no, line in _lines(path):
-        if "->" not in line:
-            raise ParseError(path, no, "expected 'g x -> y'")
-        lhs, rhs = (side.strip() for side in line.split("->", 1))
+        lhs, rhs = _arrow(path, no, line, "g x -> y")
         parts = lhs.split()
-        if len(parts) != 2 or not rhs:
+        if len(parts) != 2:
             raise ParseError(path, no, "expected 'g x -> y'")
         g, x = parts
         if g not in group.carrier:
@@ -218,21 +228,21 @@ def load_action(path, group: FiniteGroup) -> FiniteAction:
 def load_relation(path, space: Carrier) -> EquivalenceRelation:
     """One class per line, whitespace-separated."""
     classes = []
+    seen = set()
     for no, line in _lines(path):
         members = tuple(line.split())
         for x in members:
             if x not in space:
                 raise ParseError(path, no, f"{x!r} is not a space point")
+            if x in seen:
+                raise ParseError(path, no, f"element {x!r} in two classes")
+            seen.add(x)
         classes.append(members)
     if not classes:
         raise ParseError(path, 1, "empty relation file")
-    try:
-        rel = EquivalenceRelation(tuple(classes))
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
-    if not rel.covers(space):
+    if len(seen) != len(space):
         raise ParseError(path, 1, "classes do not cover the space")
-    return rel
+    return EquivalenceRelation(tuple(classes))
 
 
 def load_structure_constants(path) -> StructureConstants:
@@ -245,10 +255,7 @@ def load_structure_constants(path) -> StructureConstants:
             _once(path, no, dim, "dim")
             if len(parts) != 2:
                 raise ParseError(path, no, "expected 'dim n'")
-            try:
-                dim = int(parts[1])
-            except ValueError:
-                raise ParseError(path, no, "expected 'dim n'") from None
+            dim = _parse(path, no, int, parts[1], message="expected 'dim n'")
             if dim < 1:
                 raise ParseError(path, no, "dimension must be positive")
             if dim > MAX_STRUCTURE_DIM:
@@ -258,11 +265,8 @@ def load_structure_constants(path) -> StructureConstants:
             raise ParseError(path, no, "expected 'dim n' first")
         if len(parts) != 4:
             raise ParseError(path, no, "expected 'i j k value'")
-        try:
-            i, j, k = (int(p) for p in parts[:3])
-            value = parse_rational(parts[3])
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(path, no, "expected 'i j k value'") from None
+        i, j, k, value = _parse(path, no, lambda: (*map(int, parts[:3]), parse_rational(parts[3])),
+                                message="expected 'i j k value'")
         if not all(1 <= idx <= dim for idx in (i, j, k)):
             raise ParseError(path, no, f"index out of range 1..{dim}")
         if (i - 1, j - 1, k - 1) in entries:
@@ -276,7 +280,7 @@ def load_structure_constants(path) -> StructureConstants:
 _COND_OPS = {"=": "eq0", "!=": "ne0", ">": "gt0", "<": "lt0"}
 
 
-def _parse_condition(text, path, no) -> Condition:
+def _parse_condition(text, path, no, dim) -> Condition:
     text = text.strip()
     for sym in ("!=", "=", ">", "<"):
         if sym in text:
@@ -286,11 +290,10 @@ def _parse_condition(text, path, no) -> Condition:
             coord_text = coord_text.strip()
             if not coord_text.startswith("x"):
                 raise ParseError(path, no, f"expected coordinate 'x<i>', got {coord_text!r}")
-            try:
-                coord = int(coord_text[1:]) - 1
-            except ValueError:
-                raise ParseError(path, no, f"bad coordinate {coord_text!r}") from None
-            return Condition(coord, _COND_OPS[sym])
+            coord = _parse(path, no, int, coord_text[1:], message=f"bad coordinate {coord_text!r}")
+            if not 1 <= coord <= dim:
+                raise ParseError(path, no, f"coordinate {coord_text!r} out of range x1..x{dim}")
+            return Condition(coord - 1, _COND_OPS[sym])
     raise ParseError(path, no, "expected a condition like 'x1 = 0'")
 
 
@@ -305,28 +308,17 @@ def load_classifier(path, dim: int) -> MembershipClassifier:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(path, no, "expected 'default grade'")
-            try:
-                default = parse_grade(parts[1])
-            except ValueError as exc:
-                raise ParseError(path, no, str(exc)) from None
+            default = _parse(path, no, parse_grade, parts[1])
             continue
         if "->" not in line:
             raise ParseError(path, no, "expected 'cond -> grade'")
         cond_text, grade_text = line.rsplit("->", 1)
-        try:
-            grade = parse_grade(grade_text.strip())
-        except ValueError as exc:
-            raise ParseError(path, no, str(exc)) from None
-        conds = tuple(
-            _parse_condition(c, path, no) for c in cond_text.split("&")
-        )
+        grade = _parse(path, no, parse_grade, grade_text.strip())
+        conds = tuple(_parse_condition(c, path, no, dim) for c in cond_text.split("&"))
         cases.append(ClassifierCase(conds, grade))
     if default is None:
         raise ParseError(path, 1, "missing 'default grade' line")
-    try:
-        return MembershipClassifier(dim, tuple(cases), default)
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
+    return MembershipClassifier(dim, tuple(cases), default)
 
 
 def load_samples(path, dim: int) -> SampleSet:
@@ -338,23 +330,16 @@ def load_samples(path, dim: int) -> SampleSet:
         if parts[0] == "vector":
             if len(parts) != dim + 1:
                 raise ParseError(path, no, f"expected {dim} coordinates")
-            try:
-                vectors.append(tuple(parse_rational(p) for p in parts[1:]))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(path, no, "bad rational coordinate") from None
+            vectors.append(_parse(path, no, tuple, map(parse_rational, parts[1:]),
+                                  message="bad rational coordinate"))
         elif parts[0] == "scalar":
             if len(parts) != 2:
                 raise ParseError(path, no, "expected 'scalar value'")
-            try:
-                scalars.append(parse_rational(parts[1]))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(path, no, "bad rational scalar") from None
+            scalars.append(_parse(path, no, parse_rational, parts[1],
+                                  message="bad rational scalar"))
         else:
             raise ParseError(path, no, "expected 'vector ...' or 'scalar ...'")
-    try:
-        return SampleSet(tuple(vectors), tuple(scalars))
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
+    return _parse(path, 1, SampleSet, tuple(vectors), tuple(scalars))
 
 
 def load_chart_table(path):
@@ -369,10 +354,7 @@ def load_chart_table(path):
             width = len(parts)
         elif len(parts) != width:
             raise ParseError(path, no, f"expected {width} columns")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(path, no, "bad numeric value") from None
+        row = _parse(path, no, list, map(float, parts), message="bad numeric value")
         if not all(map(math.isfinite, row[:-1])):
             raise ParseError(path, no, "param and coordinates must be finite")
         if not 0.0 <= row[-1] <= 1.0:

@@ -353,6 +353,15 @@ class TestToleranceValues:
         assert code == 2
         assert item.split("=")[0] in lines_of(out)["WITNESS_REASON"]
 
+    @pytest.mark.parametrize("item", ["h0=abc", "eps_inv=one", "cover_eps=1/2"])
+    def test_non_number_names_the_tolerance(self, item):
+        code, out = run("demo-circle", "--samples-per-chart", "64",
+                        "--tolerance", item, "--format", "machine")
+        name, value = item.split("=")
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"] == (
+            f"tolerance {name} must be finite and >= 0 (> 0 for h0 and h_min), got {value}")
+
     def test_rank_rtol_is_no_tolerance(self):
         code, _ = run("demo-circle", "--samples-per-chart", "64",
                       "--tolerance", "rank_rtol=1", "--format", "machine")
@@ -445,6 +454,18 @@ class TestFlagsPerCommand:
         with pytest.raises(SystemExit) as err:
             run(*argv)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["demo-circle", "--samples", "16"],
+        ["check-subgroup", "G", "MU", "--form", "machine"],
+        ["check-atlas", "C", "--norm"],
+    ])
+    def test_abbreviation_is_usage_error(self, argv, capsys):
+        """A flag is spelled in full: a prefix of another flag is not read as it."""
+        with pytest.raises(SystemExit) as err:
+            run(*argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestWitnessSelfAudit:

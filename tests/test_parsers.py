@@ -1,10 +1,11 @@
 import time
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 from fuzzcheck.errors import ParseError
-from fuzzcheck.groups import cyclic_group, validate_group, verify_action
+from fuzzcheck.groups import FiniteGroup, cyclic_group, validate_group, verify_action
 from fuzzcheck.lie import bracket, validate_lie
 from fuzzcheck.parsers import (
     MAX_STRUCTURE_DIM,
@@ -297,3 +298,141 @@ class TestChartTableFile:
     def test_ragged_rows(self, tmp_path):
         with pytest.raises(ParseError):
             load_chart_table(write(tmp_path, "c.txt", "0 1 1\n0 1 1 1\n"))
+
+
+# --- golden messages ---------------------------------------------------------------------
+# One row per message a file can trigger: (loader, file text, line, message).  `{dir}` in a
+# message stands for the directory holding the file.  Every row asserts the whole
+# `path:line: message` string, so a reworded or moved error shows up here.
+
+Z2 = FiniteGroup.from_table(("0", "1"), (("0", "1"), ("1", "0")))
+ABC = Carrier(("a", "b", "c"))
+AUX = {"src.txt": "x1 1\nx2 1\n", "tgt.txt": "y1 1\ny2 1\n", "amb.txt": "a 1\nb 1\n"}
+HEAD = "source: src.txt\ntarget: tgt.txt\n"
+MISSING = "[Errno 2] No such file or directory: '{dir}/nope.txt'"
+on_ab = partial(load_fuzzy_set, carrier=Carrier(("a", "b")))
+on_z2 = partial(load_action, group=Z2)
+on_abc = partial(load_relation, space=ABC)
+dim3 = partial(load_classifier, dim=3)
+dim2 = partial(load_samples, dim=2)
+
+GOLDEN = {
+    "set-pair": (load_fuzzy_set, "a\n", 1, "expected 'element grade'"),
+    "set-duplicate": (load_fuzzy_set, "a 1\na 0\n", 2, "duplicate element 'a'"),
+    "set-unparsable": (load_fuzzy_set, "a 1\nb x\n", 2, "cannot parse grade 'x'"),
+    "set-zero-denominator": (load_fuzzy_set, "a 1/0\n", 1, "cannot parse grade '1/0'"),
+    "set-range": (load_fuzzy_set, "a 1\nb 5/4\n", 2, "grade outside [0,1]: '5/4'"),
+    "set-exponent": (load_fuzzy_set, "a 1e-2000\n", 1, "exponent of '1e-2000' exceeds 1000"),
+    "set-empty": (load_fuzzy_set, "# none\n", 1, "empty fuzzy set file"),
+    "set-stray": (on_ab, "a 1\nz 1\n", 2, "element 'z' not in the carrier"),
+    "set-no-grade": (on_ab, "a 1\n", 1, "element 'b' has no grade"),
+    "map-repeated-source": (load_map, HEAD + "source: src.txt\n", 3, "repeated 'source:' line"),
+    "map-repeated-target": (load_map, HEAD + "target: tgt.txt\n", 3, "repeated 'target:' line"),
+    "map-no-arrow": (load_map, HEAD + "x1 y1\n", 3, "expected 'x -> y'"),
+    "map-empty-side": (load_map, HEAD + "x1 ->\n", 3, "expected 'x -> y'"),
+    "map-duplicate": (load_map, HEAD + "x1 -> y1\nx1 -> y2\n", 4, "duplicate mapping for 'x1'"),
+    "map-missing-header": (load_map, "target: tgt.txt\nx1 -> y1\n", 1,
+                           "missing 'source:' or 'target:' header"),
+    "map-source-element": (load_map, HEAD + "x1 -> y1\nx2 -> y1\nz -> y1\n", 5,
+                           "'z' is not a source element"),
+    "map-target-value": (load_map, HEAD + "x1 -> y1\nx2 -> z\n", 4,
+                         "map value 'z' not in target carrier"),
+    "map-undefined": (load_map, HEAD + "x1 -> y1\n", 1, "map not defined at 'x2'"),
+    "map-header-file": (load_map, "source: src.txt\ntarget: nope.txt\nx1 -> y1\nx2 -> y1\n",
+                        2, MISSING),
+    "group-empty-elements": (load_group, "elements:\n", 1, "empty element list"),
+    "group-elements-first": (load_group, "e g\n", 1, "expected 'elements:' line first"),
+    "group-short-row": (load_group, "elements: e g\ne g\ng\n", 3,
+                        "Cayley row has 1 entries, expected 2"),
+    "group-missing-elements": (load_group, "# none\n", 1, "missing 'elements:' line"),
+    "group-row-count": (load_group, "elements: e g\ne g\n", 1, "expected 2 Cayley rows, got 1"),
+    "group-stray-entry": (load_group, "elements: e g\ne g\ng z\n", 3,
+                          "Cayley entry 'z' is not an element"),
+    "group-duplicate-label": (load_group, "elements: e e\ne e\ne e\n", 1,
+                              "carrier has duplicate labels"),
+    "group-no-identity": (load_group, "elements: a b\nb b\nb b\n", 1,
+                          "table has no identity element"),
+    "group-no-inverse": (load_group, "elements: e a\ne a\na a\n", 1,
+                         "element 'a' has no inverse"),
+    "topo-repeated-ambient": (load_topology, "ambient: amb.txt\nambient: amb.txt\n", 2,
+                              "repeated 'ambient:' line"),
+    "topo-repeated-q": (load_topology, "ambient: amb.txt\nq=2\nq=2\n", 3, "repeated 'q=' line"),
+    "topo-bad-q": (load_topology, "ambient: amb.txt\nq=x\n", 2, "expected q=<positive integer>"),
+    "topo-zero-q": (load_topology, "q=0\n", 1, "expected q=<positive integer>"),
+    "topo-gen-first": (load_topology, "q=2\ngen:\n", 2, "generator before 'ambient:' line"),
+    "topo-expected-header": (load_topology, "ambient: amb.txt\na 1\n", 2,
+                             "expected 'ambient:', 'q=', or 'gen:'"),
+    "topo-stray": (load_topology, "ambient: amb.txt\nq=2\ngen:\nz 1\n", 4,
+                   "element 'z' not in the ambient carrier"),
+    "topo-missing-ambient": (load_topology, "q=2\n", 1, "missing 'ambient:' line"),
+    "topo-missing-q": (load_topology, "ambient: amb.txt\n", 1, "missing 'q=' line"),
+    "topo-empty-block": (load_topology, "ambient: amb.txt\nq=2\ngen:\ngen:\na 1\n", 3,
+                         "empty generator block"),
+    "topo-empty-last-block": (load_topology, "ambient: amb.txt\nq=2\ngen:\n", 3,
+                              "empty generator block"),
+    "topo-ambient-file": (load_topology, "q=2\nambient: nope.txt\n", 2, MISSING),
+    "act-no-arrow": (on_z2, "0 p p\n", 1, "expected 'g x -> y'"),
+    "act-one-label": (on_z2, "0 -> p\n", 1, "expected 'g x -> y'"),
+    "act-group-element": (on_z2, "2 p -> p\n", 1, "'2' is not a group element"),
+    "act-duplicate": (on_z2, "0 p -> p\n0 p -> p\n", 2, "duplicate entry for ('0','p')"),
+    "act-empty": (on_z2, "# none\n", 1, "empty action file"),
+    "act-value": (on_z2, "0 p -> z\n1 p -> p\n", 1, "action value 'z' is not a space point"),
+    "act-undefined": (on_z2, "0 p -> p\n0 q -> q\n1 p -> q\n", 1,
+                      "action undefined at ('1','q')"),
+    "rel-stray": (on_abc, "a z\n", 1, "'z' is not a space point"),
+    "rel-empty": (on_abc, "# none\n", 1, "empty relation file"),
+    "rel-two-classes": (on_abc, "a b\nb c\n", 2, "element 'b' in two classes"),
+    "rel-cover": (on_abc, "a b\n", 1, "classes do not cover the space"),
+    "sc-repeated-dim": (load_structure_constants, "dim 2\ndim 2\n", 2, "repeated 'dim' line"),
+    "sc-dim-form": (load_structure_constants, "dim\n", 1, "expected 'dim n'"),
+    "sc-dim-int": (load_structure_constants, "dim x\n", 1, "expected 'dim n'"),
+    "sc-dim-positive": (load_structure_constants, "dim 0\n", 1, "dimension must be positive"),
+    "sc-dim-max": (load_structure_constants, "dim 101\n", 1, "dimension exceeds 100"),
+    "sc-dim-first": (load_structure_constants, "1 2 1 1\n", 1, "expected 'dim n' first"),
+    "sc-entry-form": (load_structure_constants, "dim 2\n1 2 1\n", 2, "expected 'i j k value'"),
+    "sc-entry-index": (load_structure_constants, "dim 2\n1 b 1 1\n", 2,
+                       "expected 'i j k value'"),
+    "sc-entry-value": (load_structure_constants, "dim 2\n1 2 1 1/0\n", 2,
+                       "expected 'i j k value'"),
+    "sc-range": (load_structure_constants, "dim 2\n1 3 1 1\n", 2, "index out of range 1..2"),
+    "sc-duplicate": (load_structure_constants, "dim 2\n1 2 1 1\n1 2 1 2\n", 3,
+                     "duplicate entry for (1,2,1)"),
+    "sc-missing-dim": (load_structure_constants, "# none\n", 1, "missing 'dim n' line"),
+    "cls-repeated-default": (dim3, "default 0\ndefault 1\n", 2, "repeated 'default' line"),
+    "cls-default-form": (dim3, "default\n", 1, "expected 'default grade'"),
+    "cls-default-grade": (dim3, "default 2\n", 1, "grade outside [0,1]: '2'"),
+    "cls-arrow": (dim3, "x1 = 0\ndefault 0\n", 1, "expected 'cond -> grade'"),
+    "cls-case-grade": (dim3, "x1 = 0 -> 1/0\ndefault 0\n", 1, "cannot parse grade '1/0'"),
+    "cls-compare": (dim3, "x1 = 1 -> 1\ndefault 0\n", 1, "conditions compare a coordinate with 0"),
+    "cls-coord-name": (dim3, "y1 = 0 -> 1\ndefault 0\n", 1,
+                       "expected coordinate 'x<i>', got 'y1'"),
+    "cls-coord-int": (dim3, "xa = 0 -> 1\ndefault 0\n", 1, "bad coordinate 'xa'"),
+    "cls-condition": (dim3, "x1 -> 1\ndefault 0\n", 1, "expected a condition like 'x1 = 0'"),
+    "cls-coord-zero": (dim3, "default 0\nx0 = 0 -> 1\n", 2, "coordinate 'x0' out of range x1..x3"),
+    "cls-coord-above": (dim3, "default 0\nx1 = 0 & x4 > 0 -> 1\n", 2,
+                        "coordinate 'x4' out of range x1..x3"),
+    "cls-missing-default": (dim3, "x1 = 0 -> 1\n", 1, "missing 'default grade' line"),
+    "smp-count": (dim2, "vector 0\n", 1, "expected 2 coordinates"),
+    "smp-coordinate": (dim2, "vector 0 x\n", 1, "bad rational coordinate"),
+    "smp-scalar-form": (dim2, "vector 0 0\nscalar\n", 2, "expected 'scalar value'"),
+    "smp-scalar": (dim2, "vector 0 0\nscalar 1/0\n", 2, "bad rational scalar"),
+    "smp-keyword": (dim2, "vector 0 0\npoint 1\n", 2, "expected 'vector ...' or 'scalar ...'"),
+    "smp-no-vector": (dim2, "scalar 1\n", 1, "sample set needs at least one vector"),
+    "smp-zero": (dim2, "vector 1 0\n", 1, "sample set must contain the zero vector"),
+    "chart-short": (load_chart_table, "0 1\n", 1, "expected 'param coords... membership'"),
+    "chart-width": (load_chart_table, "0 1 1\n0 1 1 1\n", 2, "expected 3 columns"),
+    "chart-number": (load_chart_table, "0 1 1\n0.5 x 1\n", 2, "bad numeric value"),
+    "chart-finite": (load_chart_table, "0 nan 1\n", 1, "param and coordinates must be finite"),
+    "chart-membership": (load_chart_table, "0 1 2\n", 1, "membership outside [0,1]"),
+    "chart-empty": (load_chart_table, "# none\n", 1, "empty chart table"),
+}
+
+
+@pytest.mark.parametrize("loader, text, line, message", GOLDEN.values(), ids=GOLDEN)
+def test_golden_message(tmp_path, loader, text, line, message):
+    for name, aux in AUX.items():
+        write(tmp_path, name, aux)
+    path = write(tmp_path, "in.txt", text)
+    with pytest.raises(ParseError) as err:
+        loader(path)
+    assert str(err.value) == f"{path}:{line}: {message.format(dir=tmp_path)}"
