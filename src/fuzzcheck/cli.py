@@ -86,7 +86,7 @@ def _build_topology(path, args, literal=False) -> FuzzyTopology:
     if args.lattice_q is not None:
         lattice = GradeLattice(args.lattice_q)
     if literal:
-        return FuzzyTopology(ambient, frozenset(generators), lattice)
+        return FuzzyTopology.literal(ambient, generators, lattice)
     return generate(ambient, generators, lattice, cap=args.cap)
 
 

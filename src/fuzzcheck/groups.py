@@ -283,9 +283,7 @@ def subgroup_of(group: FiniteGroup, elements) -> FiniteGroup:
 
 def restrict_to_subgroup(action: FiniteAction, elements) -> FiniteAction:
     """Action of a verified subgroup by restriction."""
-    v = check_subgroup(action.group, elements)
-    if not v:
-        raise DominationError(f"not a subgroup: {v.reason}", witness=v.witness)
+    check_subgroup(action.group, elements).require("not a subgroup")
     h = subgroup_of(action.group, elements)
     rows = (row for g, row in zip(action.group.carrier, action.table) if g in h.carrier)
     return FiniteAction(h, action.space, action.ambient, rows)
@@ -294,9 +292,7 @@ def restrict_to_subgroup(action: FiniteAction, elements) -> FiniteAction:
 def restrict_to_invariant(action: FiniteAction, s: FuzzySet) -> FiniteAction:
     """Action restricted to the support of an invariant fuzzy subset, which
     the action maps into itself: s(g.x) >= s(x) > 0."""
-    v = is_G_invariant(action, s)
-    if not v:
-        raise DominationError(f"subset is not invariant: {v.reason}", witness=v.witness)
+    is_G_invariant(action, s).require("subset is not invariant")
     keep = [x for x, g in enumerate(s.grades) if g > 0]
     space = Carrier(s.support())
     ambient = FuzzySet._trusted(space, tuple(s.grades[x] for x in keep))
@@ -357,9 +353,7 @@ def quotient_action(action: FiniteAction, rho: EquivalenceRelation) -> FiniteAct
 
 def coset_action(group: FiniteGroup, subgroup_elements) -> FiniteAction:
     """Left-translation action on left cosets of a subgroup."""
-    v = check_subgroup(group, subgroup_elements)
-    if not v:
-        raise DominationError(f"not a subgroup: {v.reason}", witness=v.witness)
+    check_subgroup(group, subgroup_elements).require("not a subgroup")
     subset = set(subgroup_elements)
     elems, mul = group.carrier.elements, group._ints
     hs = [h for h, x in enumerate(elems) if x in subset]

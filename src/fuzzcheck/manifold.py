@@ -530,6 +530,8 @@ def gl_demo(n: int, sample_count: int = 50, seed: int = 0,
     Jacobian rank of the inclusion into the full matrix space."""
     if not 1 <= n <= 4:
         raise ValueError("demo is desk-scale: n must be between 1 and 4")
+    if sample_count < 1:
+        raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
     h = 1e-5
     max_grad_err = 0.0

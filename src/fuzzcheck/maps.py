@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CarrierMismatchError, DominationError
+from .errors import CarrierMismatchError
 from .sets import FuzzySet, Verdict, ZERO, is_subset
 
 
@@ -59,18 +59,12 @@ class MapFlags:
     witness: object = None
 
 
-def _require_below(a: FuzzySet, bound: FuzzySet, what: str):
-    v = is_subset(a, bound)
-    if not v:
-        raise DominationError(f"{what} exceeds its bound: {v.reason}", witness=v.witness)
-
-
 def image(f: ProperFunction, a: FuzzySet) -> FuzzySet:
     """Sup-min image: (F(A))(y) = max over the fiber of min(source grade, A(x)),
     which is A(x) as A lies under the source."""
     if a.carrier != f.source.carrier:
         raise CarrierMismatchError("A must live on the source carrier")
-    _require_below(a, f.source, "A")
+    is_subset(a, f.source).require("A exceeds its bound")
     out = [ZERO] * len(f.target.carrier)
     for y, g in zip(f._ints, a.grades):
         if g > out[y]:
@@ -82,7 +76,7 @@ def preimage(f: ProperFunction, b: FuzzySet) -> FuzzySet:
     """(F^{-1}(B))(x) = min(source grade at x, B(f(x)))."""
     if b.carrier != f.target.carrier:
         raise CarrierMismatchError("B must live on the target carrier")
-    _require_below(b, f.target, "B")
+    is_subset(b, f.target).require("B exceeds its bound")
     grades = tuple(min(gx, b.grades[y]) for gx, y in zip(f.source.grades, f._ints))
     return FuzzySet._trusted(f.source.carrier, grades)
 

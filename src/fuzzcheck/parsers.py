@@ -30,11 +30,18 @@ MAX_STRUCTURE_DIM = 100
 
 
 def _lines(path):
-    with open(path, encoding="utf-8") as fh:
-        for no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield no, line
+    """The lines that hold more than a comment, numbered as text mode numbers
+    them: a line ends at LF, CRLF or a lone CR.  Each line is decoded on its
+    own, so a byte that is not UTF-8 is reported at its line; UTF-8 uses the
+    bytes of LF and CR for no other character."""
+    no = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:  # each chunk ends at an LF, so no CRLF is split
+            for raw in chunk.splitlines():
+                no += 1
+                line = _parse(path, no, raw.decode, "utf-8").split("#", 1)[0].strip()
+                if line:
+                    yield no, line
 
 
 def _parse(path, no, fn, *args, message=None):
@@ -129,6 +136,7 @@ def load_group(path) -> FiniteGroup:
     rows = []
     for no, line in _lines(path):
         if line.startswith("elements:"):
+            _once(path, no, elements, "elements:")
             elements = tuple(line.split(":", 1)[1].split())
             if not elements:
                 raise ParseError(path, no, "empty element list")
@@ -343,8 +351,10 @@ def load_samples(path, dim: int) -> SampleSet:
 
 
 def load_chart_table(path):
-    """Rows `param x y ... membership`; returns (params, points, memberships)."""
+    """Rows `param x y ... membership`, one per point; returns (params,
+    points, memberships)."""
     params, points, memberships = [], [], []
+    first = {}  # point -> the line that lists it
     width = None
     for no, line in _lines(path):
         parts = line.split()
@@ -359,8 +369,13 @@ def load_chart_table(path):
             raise ParseError(path, no, "param and coordinates must be finite")
         if not 0.0 <= row[-1] <= 1.0:
             raise ParseError(path, no, "membership outside [0,1]")
+        point = tuple(row[1:-1])
+        if point in first:
+            raise ParseError(path, no, f"point {' '.join(parts[1:-1])} already listed on line "
+                                       f"{first[point]}")
+        first[point] = no
         params.append(row[0])
-        points.append(tuple(row[1:-1]))
+        points.append(point)
         memberships.append(row[-1])
     if not params:
         raise ParseError(path, 1, "empty chart table")

@@ -87,6 +87,11 @@ class Verdict:
     def failed(reason: str, witness=None) -> "Verdict":
         return Verdict(False, reason, witness)
 
+    def require(self, what: str) -> None:
+        """Refuse a failed precondition: raise `what: reason` with the witness."""
+        if not self.ok:
+            raise DominationError(f"{what}: {self.reason}", witness=self.witness)
+
 
 @dataclass(frozen=True)
 class Carrier:
@@ -241,14 +246,8 @@ def complement_in(ambient: FuzzySet, sub: FuzzySet) -> FuzzySet:
     The complement formula (subtraction) is an extrapolation: it makes the
     double complement an involution on sets below the ambient.
     """
-    carrier = _common_carrier([ambient, sub])
-    for x, ga, gs in zip(carrier.elements, ambient.grades, sub.grades):
-        if gs > ga:
-            raise DominationError(
-                f"subset exceeds ambient at {x!r}: {format_grade(gs)} > {format_grade(ga)}",
-                witness=x,
-            )
-    return FuzzySet(carrier, tuple(ga - gs for ga, gs in zip(ambient.grades, sub.grades)))
+    is_subset(sub, ambient).require("subset exceeds ambient")
+    return FuzzySet(ambient.carrier, tuple(ga - gs for ga, gs in zip(ambient.grades, sub.grades)))
 
 
 def is_subset(a: FuzzySet, b: FuzzySet) -> Verdict:

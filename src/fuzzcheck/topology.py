@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import CarrierMismatchError, DominationError, ResourceCapError
+from .errors import CarrierMismatchError, ResourceCapError
 from .maps import ProperFunction, classify, image, preimage
 
 # `union`, `intersection`, `image` and `preimage` stay bound in this module
@@ -103,6 +103,13 @@ class FuzzyTopology:
     opens: frozenset  # of FuzzySet, each <= ambient
     lattice: GradeLattice
 
+    @classmethod
+    def literal(cls, ambient: FuzzySet, opens: list, lattice: GradeLattice) -> "FuzzyTopology":
+        """The listed family, unclosed; each open in turn must lie under the ambient."""
+        for s in opens:
+            is_subset(s, ambient).require("generator exceeds ambient")
+        return cls(ambient, frozenset(opens), lattice)
+
     def sorted_opens(self) -> list:
         """Opens in a canonical order (by grade tuple); used for determinism."""
         return sorted(self.opens, key=_canon_key)
@@ -117,13 +124,17 @@ def cut(ambient: FuzzySet, t: Fraction) -> FuzzySet:
     return FuzzySet(ambient.carrier, tuple(min(t, g) for g in ambient.grades))
 
 
-def _closure(top: tuple, generators, q: int, cap: int) -> set:
+def _closure(top: tuple, generators, cap: int) -> set:
     """The sublattice of {0..q}^n generated by the generators and every cut
     min(t, top), as numerator tuples.  {0..q}^n is distributive, so that is
     the set of joins of meets of those seeds: close under meet, then under
     join.  Both passes grow subsets of the result, so the cap fires exactly
     when the closure has more than `cap` members."""
-    seeds = {tuple(min(t, a) for a in top) for t in range(q + 1)}
+    height = max(top)
+    # The cuts for t = 0..height are distinct, and each higher t repeats top.
+    if height + 1 > cap:
+        raise ResourceCapError(f"topology closure exceeded cap of {cap} opens")
+    seeds = {tuple(min(t, a) for a in top) for t in range(height + 1)}
     seeds.update(generators)
 
     def close(family, by, op):
@@ -152,9 +163,7 @@ def generate(
     if not lattice.contains_set(ambient):
         raise ValueError("ambient grades must lie in the lattice")
     for g in generators:
-        v = is_subset(g, ambient)
-        if not v:
-            raise DominationError(f"generator exceeds ambient: {v.reason}", witness=v.witness)
+        is_subset(g, ambient).require("generator exceeds ambient")
         if not lattice.contains_set(g):
             raise ValueError("generator grade outside the lattice")
 
@@ -163,12 +172,11 @@ def generate(
     def numerators(s):
         return tuple(g.numerator * (q // g.denominator) for g in s.grades)
 
-    grade = lattice.members()
+    top = numerators(ambient)
+    keys = _closure(top, map(numerators, generators), cap)
+    grade = [Fraction(k, q) for k in range(max(top) + 1)]
     carrier = ambient.carrier
-    opens = frozenset(
-        FuzzySet._trusted(carrier, tuple(grade[k] for k in key))
-        for key in _closure(numerators(ambient), map(numerators, generators), q, cap)
-    )
+    opens = frozenset(FuzzySet._trusted(carrier, tuple(grade[k] for k in key)) for key in keys)
     return FuzzyTopology(ambient, opens, lattice)
 
 

@@ -73,6 +73,24 @@ class TestExitCodes:
                         "--format", "machine")
         assert code == 2
 
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        mu = tmp_path / "mu.txt"
+        mu.write_bytes(b"a 1\n\xffb 1\n")
+        code, out = run("level-set", str(mu), "1", "--format", "machine")
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"] == (
+            f"{mu}:2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+
+    def test_group_axioms_failure_is_one(self, tmp_path):
+        g = put(tmp_path, "g.txt", "elements: e a b\ne a b\na e a\nb b e\n")
+        mu = put(tmp_path, "mu.txt", "e 1\na 1\nb 1\n")
+        code, out = run("check-subgroup", g, mu, "--format", "machine")
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["PROVENANCE"] == "group-axioms"
+        assert fields["WITNESS_REASON"] == "associativity fails at ('a','a','b')"
+        assert fields["WITNESS_AT"] == "(a,a,b)"
+
     def test_cap_exceeded_is_three(self, tmp_path):
         amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
         topo = put(tmp_path, "topo.txt", f"ambient: {amb}\nq=4\n")
@@ -115,6 +133,39 @@ class TestTopologyCommands:
         assert code == 1
         assert "cut" in lines_of(out)["WITNESS_AT"]
 
+    def test_literal_open_above_ambient_is_refused_like_generated(self, tmp_path):
+        amb = put(tmp_path, "amb.txt", "a 1/2\n")
+        topo = put(tmp_path, "lit.txt",
+                   f"ambient: {amb}\nq=2\ngen:\na 0\ngen:\na 1/2\ngen:\na 1\n")
+        generated, literal = (run("check-topology", topo, *flag, "--format", "machine")
+                              for flag in ([], ["--literal"]))
+        assert literal == generated
+        code, out = literal
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["PROVENANCE"] == "precondition"
+        assert fields["WITNESS_REASON"] == "generator exceeds ambient: grade 1 > 1/2 at 'a'"
+        assert fields["WITNESS_AT"] == "a"
+
+    def test_lattice_q_overrides_the_file(self, tmp_path):
+        amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
+        topo = put(tmp_path, "topo.txt", f"ambient: {amb}\nq=1\n")
+        for flags, opens in (([], "2"), (["--lattice-q", "4"], "5")):
+            code, out = run("check-topology", topo, *flags, "--format", "machine")
+            assert code == 0
+            fields = lines_of(out)
+            assert fields["OPENS"] == opens
+            assert not [k for k in fields if k.startswith("WITNESS_")]
+
+    def test_base_fails_where_axioms_pass(self, tmp_path):
+        amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
+        topo = put(tmp_path, "topo.txt", f"ambient: {amb}\nq=1\ngen:\na 1\nb 0\n")
+        code, out = run("check-topology", topo, "--base", amb, "--format", "machine")
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["VERDICT"] == "fail" and fields["OPEN_BASE"] == "false"
+        assert fields["WITNESS_REASON"] == "open is not a union of base members"
+
     def test_separation_commands(self, tmp_path):
         amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
         discrete = put(tmp_path, "disc.txt",
@@ -151,11 +202,30 @@ class TestTopologyCommands:
         assert code == 1
         assert "multiplication" in lines_of(out)["WITNESS_REASON"]
 
+    def test_topgroup_inversion_not_continuous(self, tmp_path):
+        z3 = put(tmp_path, "z3.txt", "elements: 0 1 2\n0 1 2\n1 2 0\n2 0 1\n")
+        amb = put(tmp_path, "amb.txt", "0 1\n1 1\n2 1\n")
+        point = put(tmp_path, "pt.txt", f"ambient: {amb}\nq=1\ngen:\n0 0\n1 1\n2 0\n")
+        code, out = run("check-topgroup", z3, point, "--format", "machine")
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["WITNESS_REASON"] == "inversion is not fuzzy continuous"
+        assert fields["WITNESS_AT"] == "(preimage,FuzzySet('0':0, '1':1, '2':0))"
+
 
 class TestActionCommands:
     def test_check_action(self, tmp_path, z4):
         act = put(tmp_path, "act.txt", Z4_TRANSLATION)
         assert run("check-action", z4, act)[0] == 0
+
+    def test_support_point_not_reached(self, tmp_path):
+        trivial = put(tmp_path, "e.txt", "elements: e\ne\n")
+        act = put(tmp_path, "act.txt", "e a -> a\ne b -> a\n")
+        code, out = run("check-action", trivial, act, "--format", "machine")
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["WITNESS_REASON"] == "support point 'b' not reached"
+        assert fields["WITNESS_AT"] == "b"
 
     def test_check_invariant(self, tmp_path, z4):
         act = put(tmp_path, "act.txt", Z4_TRANSLATION)
@@ -180,6 +250,19 @@ class TestActionCommands:
                         "--format", "machine")
         assert code == 1
         assert lines_of(out)["VERDICT"] == "fail"
+
+    def test_restrict_to_invariant_subset(self, tmp_path):
+        z2 = put(tmp_path, "z2.txt", "elements: 0 1\n0 1\n1 0\n")
+        act = put(tmp_path, "act.txt",
+                  "0 p -> p\n0 q -> q\n0 r -> r\n1 p -> q\n1 q -> p\n1 r -> r\n")
+        s = put(tmp_path, "s.txt", "p 1/2\nq 1/2\nr 0\n")
+        code, out = run("restrict", z2, act, "--invariant", s, "--format", "machine")
+        assert code == 0
+        fields = lines_of(out)
+        assert fields["PROVENANCE"] == "invariant-restricted-action"
+        assert {k: v for k, v in fields.items() if k.startswith("ACT_")} == {
+            "ACT_0_P": "p", "ACT_0_Q": "q", "ACT_1_P": "q", "ACT_1_Q": "p"}
+        assert not [k for k in fields if k.startswith("WITNESS_")]
 
     def test_restrict_needs_exactly_one_mode(self, tmp_path, z4, capsys):
         act = put(tmp_path, "act.txt", Z4_TRANSLATION)
@@ -248,6 +331,14 @@ class TestLieCommands:
                         "--format", "machine")
         assert code == 0
 
+    def test_samples_required_off_dimension_three(self, tmp_path):
+        sc = put(tmp_path, "sc.txt", "dim 2\n")
+        mu = put(tmp_path, "mu.txt", "default 1\n")
+        code, out = run("check-lie-subalgebra", sc, mu, "--format", "machine")
+        assert code == 2
+        assert (lines_of(out)["WITNESS_REASON"]
+                == "--samples is required for dimensions other than 3")
+
 
 class TestDemos:
     def test_example_demo_dual_verdict(self):
@@ -282,6 +373,14 @@ class TestDemos:
         code, out = run("demo-gl", "--n", "1", "--count", "3", "--format", "machine")
         assert code == 0
         assert lines_of(out)["INCLUSION_RANK"] == "1"
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_gl_demo_needs_a_sample(self, count):
+        code, out = run("demo-gl", "--count", count, "--format", "machine")
+        assert code == 2
+        fields = lines_of(out)
+        assert fields["VERDICT"] == "error"
+        assert fields["WITNESS_REASON"] == "sample count must be at least 1"
 
     def test_bad_tolerance_name_rejected(self):
         code, out = run("demo-circle", "--samples-per-chart", "64",
@@ -328,6 +427,14 @@ class TestAtlasCommand:
         fields = lines_of(out)
         assert "c0.txt:2" in fields["WITNESS_REASON"]
         assert "finite" in fields["WITNESS_REASON"]
+
+    def test_repeated_point_names_its_row(self, tmp_path):
+        rows = "".join(f"{i / 100} {i / 100} 1\n" for i in range(100))
+        c0 = put(tmp_path, "c0.txt", rows)
+        c1 = put(tmp_path, "c1.txt", rows + "9.0 0.5 1\n")
+        code, out = run("check-atlas", c0, c1, "--format", "machine")
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"] == f"{c1}:101: point 0.5 already listed on line 51"
 
 
 class TestToleranceValues:

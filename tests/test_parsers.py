@@ -348,6 +348,8 @@ GOLDEN = {
     "group-row-count": (load_group, "elements: e g\ne g\n", 1, "expected 2 Cayley rows, got 1"),
     "group-stray-entry": (load_group, "elements: e g\ne g\ng z\n", 3,
                           "Cayley entry 'z' is not an element"),
+    "group-repeated-elements": (load_group, "elements: 0 1\n0 1\n1 0\nelements: 0 1\n", 4,
+                                "repeated 'elements:' line"),
     "group-duplicate-label": (load_group, "elements: e e\ne e\ne e\n", 1,
                               "carrier has duplicate labels"),
     "group-no-identity": (load_group, "elements: a b\nb b\nb b\n", 1,
@@ -425,6 +427,8 @@ GOLDEN = {
     "chart-finite": (load_chart_table, "0 nan 1\n", 1, "param and coordinates must be finite"),
     "chart-membership": (load_chart_table, "0 1 2\n", 1, "membership outside [0,1]"),
     "chart-empty": (load_chart_table, "# none\n", 1, "empty chart table"),
+    "chart-repeated-point": (load_chart_table, "0 0.5 1\n1 1 1\n2 0.50 1\n", 3,
+                             "point 0.50 already listed on line 1"),
 }
 
 
@@ -436,3 +440,31 @@ def test_golden_message(tmp_path, loader, text, line, message):
     with pytest.raises(ParseError) as err:
         loader(path)
     assert str(err.value) == f"{path}:{line}: {message.format(dir=tmp_path)}"
+
+
+class TestLineBoundaries:
+    """Lines end at LF, CRLF or a lone CR, as in text mode, and each line is
+    decoded on its own."""
+
+    @pytest.mark.parametrize("data, line", [
+        (b"a 1\nb x\n", 2),
+        (b"a 1\r\nb x\r\n", 2),
+        (b"a 1\rb x\r", 2),
+        (b"a 1\r\r\nb 1\n\rc x", 5),
+        (b"a 1\x0c\x0b\nb x\n", 2),  # form feed and vertical tab end no line
+    ])
+    def test_line_numbers(self, tmp_path, data, line):
+        path = tmp_path / "mu.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_fuzzy_set(str(path))
+        assert str(err.value) == f"{path}:{line}: cannot parse grade 'x'"
+
+    @pytest.mark.parametrize("data, line", [(b"a 1\n\xffb 1\n", 2), (b"a 1\rb 1\r\nc \xe9\n", 3)])
+    def test_undecodable_byte_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "mu.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_fuzzy_set(str(path))
+        assert err.value.line_no == line
+        assert "'utf-8' codec can't decode byte" in err.value.message

@@ -8,6 +8,7 @@ from fuzzcheck.sets import (
     Carrier,
     FuzzyPoint,
     FuzzySet,
+    Verdict,
     complement_in,
     format_grade,
     intersection,
@@ -166,10 +167,24 @@ class TestComplement:
             complement_in(ambient, sub)
         assert err.value.witness == "a"
 
+    def test_domination_message_is_the_subset_verdicts(self):
+        with pytest.raises(DominationError) as err:
+            complement_in(FuzzySet(AB, (F(1, 2), F(1))), FuzzySet(AB, (F(3, 4), F(0))))
+        assert str(err.value) == "subset exceeds ambient: grade 3/4 > 1/2 at 'a'"
+
     @given(fsets(AB), fsets(AB))
     def test_involution_below_ambient(self, ambient, nu):
         nu = intersection([ambient, nu])  # force nu <= ambient
         assert complement_in(ambient, complement_in(ambient, nu)) == nu
+
+
+class TestRequire:
+    def test_pass_returns_and_failure_raises_reason_and_witness(self):
+        assert Verdict.passed().require("unused") is None
+        with pytest.raises(DominationError) as err:
+            Verdict.failed("grade 1 > 0 at 'b'", witness="b").require("B exceeds its bound")
+        assert str(err.value) == "B exceeds its bound: grade 1 > 0 at 'b'"
+        assert err.value.witness == "b"
 
 
 class TestSubsetAndPoints:

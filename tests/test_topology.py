@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -92,6 +93,12 @@ class TestGenerate:
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapError):
             generate(FuzzySet.ones(AB), [], L4, cap=2)
+
+    def test_cap_raised_before_the_cuts_are_built(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="cap of 1000 opens"):
+            generate(FuzzySet.ones(AB), [], GradeLattice(10**6), cap=1000)
+        assert time.perf_counter() - start < 1
 
     def test_idempotent(self):
         rng = random.Random(7)
