@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-topology", cmd_check_topology, topo_flags, topology={"help": "topology file"})
     p.add_argument("--literal", action="store_true",
                    help="verify the listed family itself instead of its closure")
-    p.add_argument("--base", nargs="*", default=None,
+    p.add_argument("--base", nargs="+", default=None,
                    help="fuzzy set files to test as an open base")
     add("check-t1", cmd_check_separation, topo_flags, topology={})
     add("check-hausdorff", cmd_check_separation, topo_flags, topology={})

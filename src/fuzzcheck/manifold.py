@@ -59,7 +59,6 @@ class CoverReport:
     ok: bool
     max_deficiency: float
     worst_point: object
-    normalized: bool = False
 
 
 def check_cover_condition(atlas: Atlas, normalize: bool = False) -> CoverReport:
@@ -72,7 +71,7 @@ def check_cover_condition(atlas: Atlas, normalize: bool = False) -> CoverReport:
         if deficiency > worst:
             worst, worst_point = deficiency, p
     ok = worst <= atlas.tolerances.cover_eps
-    return CoverReport(ok, worst, worst_point, normalize)
+    return CoverReport(ok, worst, worst_point)
 
 
 def cover_deficiency_at(atlas: Atlas, point, normalize: bool = False) -> float:
@@ -485,7 +484,7 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
 RANK_RTOL = 1e-6
 
 
-def numeric_rank(fn: Callable, point, h: float = 1e-5, rtol: float = RANK_RTOL) -> int:
+def numeric_rank(fn: Callable, point, h: float = 1e-5) -> int:
     """Rank of the central finite-difference Jacobian at an interior point."""
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -500,7 +499,7 @@ def numeric_rank(fn: Callable, point, h: float = 1e-5, rtol: float = RANK_RTOL) 
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > rtol * svals[0]))
+    return int(np.sum(svals > RANK_RTOL * svals[0]))
 
 
 @dataclass
@@ -522,8 +521,7 @@ def _random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
             return a
 
 
-def gl_demo(n: int, sample_count: int = 50, seed: int = 0,
-            grad_tol: float = 1e-4) -> GLDemoReport:
+def gl_demo(n: int, sample_count: int = 50, seed: int = 0) -> GLDemoReport:
     """Numeric demo on invertible matrices: the determinant's finite-
     difference gradient against the adjugate formula, smoothness of
     multiplication and inversion, closure of orthogonal samples, and the
@@ -579,7 +577,7 @@ def gl_demo(n: int, sample_count: int = 50, seed: int = 0,
 
     inclusion_rank = numeric_rank(lambda v: v, _random_invertible(rng, n).ravel())
     ok = (
-        max_grad_err < grad_tol
+        max_grad_err < 1e-4
         and max_mult < 1e-6
         and max_inv < 1e-4
         and max_orth < 1e-9

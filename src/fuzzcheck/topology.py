@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 
 from .errors import CarrierMismatchError, ResourceCapError
 from .maps import ProperFunction, classify, image, preimage
@@ -44,10 +44,6 @@ class GradeLattice:
         return all(self.contains(g) for g in s.grades)
 
 
-def _canon_key(s: FuzzySet):
-    return s.grades
-
-
 class _IntView:
     """A topology as the scans see it.
 
@@ -57,24 +53,24 @@ class _IntView:
     coordinate, the rank r of its numerator among the values the opens take
     there, written as r one-bits (a thermometer code).  The code of a
     pointwise max of two opens is then the OR of their codes, and of a
-    pointwise min the AND.
+    pointwise min the AND.  Lattice grade k/q is numerator k * step.
     """
 
     def __init__(self, tau: "FuzzyTopology"):
         carrier = tau.ambient.carrier
         if any(s.carrier != carrier for s in tau.opens):
             raise CarrierMismatchError("an open lives on another carrier than the ambient set")
-        self.scale = scale = math.lcm(
-            tau.lattice.q,
-            *{g.denominator for s in (tau.ambient, *tau.opens) for g in s.grades},
-        )
+        self.q = q = tau.lattice.q
+        scale = math.lcm(q, *{g.denominator for s in (tau.ambient, *tau.opens) for g in s.grades})
+        self.step = scale // q
 
         def numerators(s):
             return tuple(g.numerator * (scale // g.denominator) for g in s.grades)
 
         self.ambient = numerators(tau.ambient)
+        # Numerators over one positive scale order like the grades themselves.
         ordered = sorted(zip(map(numerators, tau.opens), tau.opens), key=itemgetter(0))
-        self.opens = [s for _, s in ordered]  # sorted_opens() order
+        self.opens = [s for _, s in ordered]
         self.keys = [k for k, _ in ordered]  # numerators, aligned with `opens`
         self.bits = []  # per coordinate: numerator -> its bits in a code
         offset = 0
@@ -96,6 +92,10 @@ class _IntView:
     def is_open(self, key: tuple) -> bool:
         return self.code(key) in self.codeset
 
+    def heights(self) -> list:
+        """Per carrier element x, the k with 0 < k/q <= ambient(x)."""
+        return [range(1, min(self.q, top // self.step) + 1) for top in self.ambient]
+
 
 @dataclass(frozen=True)
 class FuzzyTopology:
@@ -112,7 +112,7 @@ class FuzzyTopology:
 
     def sorted_opens(self) -> list:
         """Opens in a canonical order (by grade tuple); used for determinism."""
-        return sorted(self.opens, key=_canon_key)
+        return list(self._ints.opens)
 
     @cached_property
     def _ints(self) -> _IntView:
@@ -160,6 +160,8 @@ def generate(
     The closure lives inside lattice^carrier, hence terminates; exceeding
     `cap` raises ResourceCapError rather than truncating.
     """
+    if cap < 1:
+        raise ValueError("closure cap must be a positive integer")
     if not lattice.contains_set(ambient):
         raise ValueError("ambient grades must lie in the lattice")
     for g in generators:
@@ -183,9 +185,10 @@ def generate(
 def verify_axioms(tau: FuzzyTopology) -> Verdict:
     """Constant cuts present, closed under pairwise union and intersection."""
     v = tau._ints
-    step = v.scale // tau.lattice.q
-    for k, t in enumerate(tau.lattice.members()):
-        if not v.is_open(tuple(min(k * step, a) for a in v.ambient)):
+    # Past the ambient's top numerator every cut is the ambient itself.
+    for k in range(min(v.q, -(-max(v.ambient) // v.step)) + 1):
+        if not v.is_open(tuple(min(k * v.step, a) for a in v.ambient)):
+            t = Fraction(k, v.q)
             return Verdict.failed(
                 f"constant cut t={format_grade(t)} missing", witness=("cut", t)
             )
@@ -207,15 +210,17 @@ def verify_axioms(tau: FuzzyTopology) -> Verdict:
 
 def is_open_base(base, tau: FuzzyTopology) -> Verdict:
     """Every open must be the union of the base members lying under it."""
-    base = list(base)
-    for b in base:
-        if b not in tau.opens:
-            raise ValueError("base member is not an open of the topology")
-    zero = FuzzySet.zero(tau.ambient.carrier)
-    for nu in tau.sorted_opens():
-        under = [b for b in base if is_subset(b, nu)]
-        rebuilt = union(under) if under else zero
-        if rebuilt != nu:
+    v = tau._ints
+    code_of = dict(zip(v.opens, v.codes))
+    try:
+        base = [code_of[b] for b in base]
+    except KeyError:
+        raise ValueError("base member is not an open of the topology") from None
+    zero = v.code((0,) * len(v.ambient))  # no open's code unless the zero set is open
+    for nu, c in zip(v.opens, v.codes):
+        # On codes, b <= nu is b & c == b, and a union is the OR.
+        under = [b for b in base if b & c == b]
+        if (reduce(or_, under) if under else zero) != c:
             return Verdict.failed("open is not a union of base members", witness=nu)
     return Verdict.passed()
 
@@ -235,24 +240,16 @@ def product_topology(tau1: FuzzyTopology, tau2: FuzzyTopology) -> FuzzyTopology:
     return generate(ambient, base, tau1.lattice)
 
 
-def _heights(tau: FuzzyTopology) -> list:
-    """For each carrier element x, the lattice heights 0 < t <= ambient(x),
-    as (numerator over the view's scale, t)."""
-    v = tau._ints
-    step = v.scale // tau.lattice.q
-    ladder = [(k * step, t) for k, t in enumerate(tau.lattice.members()) if k]
-    return [[(p, t) for p, t in ladder if p <= top] for top in v.ambient]
-
-
 def is_T1(tau: FuzzyTopology) -> Verdict:
     """Every fuzzy point (lattice heights up to the ambient grade) is closed,
     i.e. its complement within the ambient set is open."""
     v = tau._ints
-    for xi, (x, heights) in enumerate(zip(tau.ambient.carrier, _heights(tau))):
-        for p, t in heights:
+    for xi, (x, heights) in enumerate(zip(tau.ambient.carrier, v.heights())):
+        for k in heights:
             rest = list(v.ambient)
-            rest[xi] -= p
+            rest[xi] -= k * v.step
             if not v.is_open(tuple(rest)):
+                t = Fraction(k, v.q)
                 return Verdict.failed(
                     f"point {x!r} at height {format_grade(t)} is not closed",
                     witness=(x, t),
@@ -266,22 +263,23 @@ def is_hausdorff(tau: FuzzyTopology) -> Verdict:
     reduced to the bitmask of its support."""
     v = tau._ints
     carrier = tau.ambient.carrier
-    heights = _heights(tau)
+    heights = v.heights()
     supports = [sum(1 << i for i, g in enumerate(key) if g) for key in v.keys]
-    # Distinct supports of the opens containing each fuzzy point (x, p): p <= u(x).
+    # Distinct supports of the opens containing each fuzzy point (x, k/q).
     around = {
-        (xi, p): {m for m, key in zip(supports, v.keys) if key[xi] >= p}
+        (xi, k): {m for m, key in zip(supports, v.keys) if key[xi] >= k * v.step}
         for xi, hs in enumerate(heights)
-        for p, _ in hs
+        for k in hs
     }
     for xi, x in enumerate(carrier):
-        for p, tp in heights[xi]:
-            us = around[xi, p]
+        for k in heights[xi]:
+            us = around[xi, k]
             for yi, y in enumerate(carrier):
                 if y == x:
                     continue
-                for q, tq in heights[yi]:
-                    if not any(not u & w for u in us for w in around[yi, q]):
+                for j in heights[yi]:
+                    if not any(not u & w for u in us for w in around[yi, j]):
+                        tp, tq = Fraction(k, v.q), Fraction(j, v.q)
                         return Verdict.failed(
                             f"points {x!r}@{format_grade(tp)} and {y!r}@{format_grade(tq)} "
                             "admit no disjoint opens",

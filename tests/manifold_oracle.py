@@ -93,7 +93,7 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
             sup = 1.0
         if 1.0 - sup > worst:
             worst, worst_point = 1.0 - sup, p
-    cover = CoverReport(worst <= tol.cover_eps, worst, worst_point, normalize_cover)
+    cover = CoverReport(worst <= tol.cover_eps, worst, worst_point)
     pairs = []
     ok = True
     for j, (coord_j, member_j) in enumerate(charts):

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 
-from fuzzcheck.cli import execute
+from fuzzcheck.cli import build_parser, execute
 
 Z4_GROUP = (
     "elements: 0 1 2 3\n"
@@ -98,6 +100,16 @@ class TestExitCodes:
         assert code == 3
         assert lines_of(out)["VERDICT"] == "error"
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_two(self, tmp_path, cap):
+        amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
+        topo = put(tmp_path, "topo.txt", f"ambient: {amb}\nq=4\n")
+        code, out = run("check-topology", topo, "--cap", cap, "--format", "machine")
+        assert code == 2
+        fields = lines_of(out)
+        assert fields["VERDICT"] == "error"
+        assert fields["WITNESS_REASON"] == "closure cap must be a positive integer"
+
 
 class TestDeterminism:
     def test_machine_output_byte_stable(self, tmp_path, z4):
@@ -165,6 +177,14 @@ class TestTopologyCommands:
         fields = lines_of(out)
         assert fields["VERDICT"] == "fail" and fields["OPEN_BASE"] == "false"
         assert fields["WITNESS_REASON"] == "open is not a union of base members"
+
+    def test_base_without_files_is_usage_error(self, tmp_path, capsys):
+        amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
+        topo = put(tmp_path, "topo.txt", f"ambient: {amb}\nq=1\n")
+        with pytest.raises(SystemExit) as err:
+            run("check-topology", topo, "--format", "machine", "--base")
+        assert err.value.code == 2
+        assert "--base: expected at least one argument" in capsys.readouterr().err
 
     def test_separation_commands(self, tmp_path):
         amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
@@ -573,6 +593,17 @@ class TestFlagsPerCommand:
             run(*argv)
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestReadmeSynopsis:
+    def test_synopsis_lists_exactly_the_subcommands(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+        listed = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("fuzzcheck ")]
+        parsers = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        assert listed == list(parsers.choices)
 
 
 class TestWitnessSelfAudit:

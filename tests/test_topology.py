@@ -128,6 +128,14 @@ class TestVerifyAxioms:
         v = verify_axioms(broken)
         assert not v.ok and v.witness[0] in ("cut", "union")
 
+    def test_cut_walks_stop_at_the_ambient_top(self):
+        # Past the ambient's top grade every cut and height repeats, so a
+        # huge q over an all-zero ambient leaves one cut and no heights.
+        tau = generate(FuzzySet.zero(AB), [], GradeLattice(10**6))
+        start = time.perf_counter()
+        assert verify_axioms(tau).ok and is_T1(tau).ok and is_hausdorff(tau).ok
+        assert time.perf_counter() - start < 0.5
+
 
 class TestOpenBase:
     def test_generators_plus_cuts_form_base_after_intersection_closure(self):

@@ -17,6 +17,7 @@ from fuzzcheck.topology import (
     generate,
     is_T1,
     is_hausdorff,
+    is_open_base,
     verify_axioms,
 )
 
@@ -81,6 +82,7 @@ def literal_families(draw):
 
 
 def assert_scans_agree(tau):
+    assert tau.sorted_opens() == sorted(tau.opens, key=lambda s: s.grades)
     for kernel, reference in SCANS:
         got, want = kernel(tau), reference(tau)
         assert got == want
@@ -113,6 +115,72 @@ def test_scans_match_reference_on_generated_topologies(setup):
 @given(literal_families())
 def test_scans_match_reference_on_literal_families(tau):
     assert_scans_agree(tau)
+
+
+@st.composite
+def base_cases(draw):
+    """(base, topology): a generated or literal family, some without the
+    zero set, and a base drawn from its opens, maybe empty, sometimes with a
+    set that is not an open."""
+    if draw(st.booleans()):
+        try:
+            tau = generate(*draw(lattice_setups()), cap=ORACLE_CAP)
+        except ResourceCapError:
+            assume(False)
+    else:
+        tau = draw(literal_families())
+    opens = tau.sorted_opens()
+    if draw(st.integers(0, 2)) == 0:
+        opens = [s for s in opens if any(s.grades)]
+        tau = FuzzyTopology(tau.ambient, frozenset(opens), tau.lattice)
+    picked = st.lists(st.sampled_from(opens), max_size=6) if opens else st.just([])
+    base = draw(st.one_of(st.just(opens), picked))
+    if draw(st.integers(0, 4)) == 0:
+        stranger = draw(off_lattice_sets(tau.ambient.carrier))
+        base.insert(draw(st.integers(0, len(base))), stranger)
+    return base, tau
+
+
+def base_outcome(check, base, tau):
+    try:
+        return repr(check(base, tau))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_cases())
+def test_open_base_matches_reference(case):
+    base, tau = case
+    assert base_outcome(is_open_base, base, tau) == base_outcome(oracle.is_open_base, base, tau)
+
+
+def test_open_base_matches_reference_on_seeded_cases():
+    # Hypothesis shrinks toward tiny families; these reach dozens of opens,
+    # with bases cut from the opens so that some pass and some fail late.
+    rng = random.Random(7)
+    carrier = Carrier(("a", "b", "c"))
+    verdicts = set()
+    for _ in range(200):
+        q = rng.choice((2, 3, 4))
+        ambient = FuzzySet(carrier, tuple(F(rng.choice((q, rng.randint(0, q))), q)
+                                          for _ in carrier))
+        gens = [FuzzySet(carrier, tuple(F(rng.randint(0, int(a * q)), q)
+                                        for a in ambient.grades))
+                for _ in range(rng.randint(0, 3))]
+        try:
+            tau = generate(ambient, gens, GradeLattice(q), cap=ORACLE_CAP)
+        except ResourceCapError:
+            continue
+        opens = tau.sorted_opens()
+        if rng.random() < 0.3:
+            opens = opens[1:]  # the zero set sorts first
+            tau = FuzzyTopology(ambient, frozenset(opens), tau.lattice)
+        base = rng.sample(opens, len(opens) - rng.randint(0, min(3, len(opens))))
+        got = base_outcome(is_open_base, base, tau)
+        assert got == base_outcome(oracle.is_open_base, base, tau)
+        verdicts.add(got.startswith("Verdict(ok=True"))
+    assert verdicts == {True, False}
 
 
 def test_scans_match_reference_on_seeded_large_topologies():

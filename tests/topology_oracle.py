@@ -24,7 +24,6 @@ from fuzzcheck.topology import (
     DEFAULT_CLOSURE_CAP,
     FuzzyTopology,
     GradeLattice,
-    _canon_key,
     cut,
 )
 
@@ -51,7 +50,7 @@ def generate(
     frontier = list(family)
     while frontier:
         new = []
-        members = sorted(family, key=_canon_key)
+        members = sorted(family, key=lambda s: s.grades)
         for a in frontier:
             for b in members:
                 for c in (union([a, b]), intersection([a, b])):
@@ -82,6 +81,21 @@ def verify_axioms(tau: FuzzyTopology) -> Verdict:
                 return Verdict.failed(
                     "intersection of two opens missing", witness=("intersection", a, b)
                 )
+    return Verdict.passed()
+
+
+def is_open_base(base, tau: FuzzyTopology) -> Verdict:
+    """Every open must be the union of the base members lying under it."""
+    base = list(base)
+    for b in base:
+        if b not in tau.opens:
+            raise ValueError("base member is not an open of the topology")
+    zero = FuzzySet.zero(tau.ambient.carrier)
+    for nu in tau.sorted_opens():
+        under = [b for b in base if is_subset(b, nu)]
+        rebuilt = union(under) if under else zero
+        if rebuilt != nu:
+            return Verdict.failed("open is not a union of base members", witness=nu)
     return Verdict.passed()
 
 
