@@ -86,7 +86,7 @@ def _build_topology(path, args, literal=False) -> FuzzyTopology:
     if args.lattice_q is not None:
         lattice = GradeLattice(args.lattice_q)
     if literal:
-        return FuzzyTopology.literal(ambient, generators, lattice)
+        return FuzzyTopology.literal(ambient, generators, lattice, cap=args.cap)
     return generate(ambient, generators, lattice, cap=args.cap)
 
 
@@ -161,7 +161,7 @@ def cmd_check_topgroup(args) -> Report:
     group = load_group(args.group)
     tau = _build_topology(args.topology, args)
     return _verdict_report("check-topgroup", "fuzzy-topological-group",
-                           is_fuzzy_topological_group(group, tau),
+                           is_fuzzy_topological_group(group, tau, cap=args.cap),
                            metrics={"opens": len(tau.opens)})
 
 

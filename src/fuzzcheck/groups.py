@@ -17,8 +17,8 @@ from operator import itemgetter
 
 from .errors import CarrierMismatchError, DominationError
 from .maps import ProperFunction
-from .sets import Carrier, FuzzySet, Verdict, format_grade, level_set
-from .topology import FuzzyTopology, check_map, product_topology
+from .sets import Carrier, FuzzySet, Verdict, format_grade
+from .topology import DEFAULT_CLOSURE_CAP, FuzzyTopology, check_map, product_topology
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,13 @@ def is_fuzzy_subgroup(mu: FuzzySet, group: FiniteGroup) -> Verdict:
     """mu(xy) >= min(mu(x), mu(y)) for all pairs and mu(x^-1) = mu(x)."""
     if mu.carrier != group.carrier:
         raise CarrierMismatchError("fuzzy set carrier differs from the group's elements")
-    elems, grade = group.carrier.elements, mu.grades
+    elems, grade = group.carrier.elements, mu.nums
     for x, row in enumerate(group._ints):
         for y, xy in enumerate(row):
-            need = min(grade[x], grade[y])
-            if grade[xy] < need:
+            if grade[xy] < min(grade[x], grade[y]):
                 return Verdict.failed(
-                    f"mu({elems[x]!r}{elems[y]!r})={format_grade(grade[xy])} "
-                    f"< min={format_grade(need)}",
+                    f"mu({elems[x]!r}{elems[y]!r})={format_grade(mu.grades[xy])} "
+                    f"< min={format_grade(min(mu.grades[x], mu.grades[y]))}",
                     witness=("pair", (elems[x], elems[y])),
                 )
     for x, inverse in enumerate(group._inv):
@@ -139,24 +138,17 @@ def is_fuzzy_subgroup(mu: FuzzySet, group: FiniteGroup) -> Verdict:
     return Verdict.passed()
 
 
-def level_subgroup_oracle(mu: FuzzySet, group: FiniteGroup) -> bool:
-    """Classical characterization used as an independent oracle: every
-    level set at a grade of mu (all nonempty) is a subgroup."""
-    if mu.carrier != group.carrier:
-        raise CarrierMismatchError("fuzzy set carrier differs from the group's elements")
-    return all(check_subgroup(group, level_set(mu, t)) for t in set(mu.grades))
-
-
-def is_fuzzy_topological_group(group: FiniteGroup, tau: FuzzyTopology) -> Verdict:
+def is_fuzzy_topological_group(group: FiniteGroup, tau: FuzzyTopology,
+                               cap: int = DEFAULT_CLOSURE_CAP) -> Verdict:
     """Multiplication and inversion fuzzy continuous for tau on the
-    all-ones ambient over the group."""
+    all-ones ambient over the group; tau x tau may hold up to `cap` opens."""
     ones = FuzzySet.ones(group.carrier)
     if tau.ambient != ones:
         raise CarrierMismatchError("topology ambient must be the all-ones set on the group")
     flags = check_map(ProperFunction(ones, ones, group.inverses), tau, tau)
     if not flags.continuous:
         return Verdict.failed("inversion is not fuzzy continuous", witness=flags.witness)
-    tau2 = product_topology(tau, tau)
+    tau2 = product_topology(tau, tau, cap)
     # The product carrier is row-major, as is the Cayley table.
     mult = ProperFunction(tau2.ambient, ones, tuple(itertools.chain.from_iterable(group.table)))
     flags = check_map(mult, tau2, tau)
@@ -207,8 +199,8 @@ def verify_action(action: FiniteAction) -> Verdict:
         w = (elems[bad[0]], elems[bad[1]], points[bad[2]])
         return Verdict.failed("composition law fails at ({!r},{!r},{!r})".format(*w), witness=w)
     reached = set().union(*act)
-    for y, grade in enumerate(action.ambient.grades):
-        if grade > 0 and y not in reached:
+    for y, n in enumerate(action.ambient.nums):
+        if n and y not in reached:
             return Verdict.failed(f"support point {points[y]!r} not reached", witness=points[y])
     return Verdict.passed()
 
@@ -220,7 +212,7 @@ def is_G_invariant(action: FiniteAction, s: FuzzySet) -> Verdict:
     witness is the least violating (y, g, x) in index order."""
     if s.carrier != action.space:
         raise CarrierMismatchError("fuzzy subset must live on the action space")
-    grade, points = s.grades, action.space.elements
+    grade, points = s.nums, action.space.elements
     bad = min(((y, g, x) for g, row in enumerate(action._ints) for x, y in enumerate(row)
                if grade[y] < grade[x]), default=None)
     if bad is None:
@@ -228,22 +220,9 @@ def is_G_invariant(action: FiniteAction, s: FuzzySet) -> Verdict:
     y, g, x = bad
     at, by, src = witness = (points[y], action.group.carrier.elements[g], points[x])
     return Verdict.failed(
-        f"image grade {format_grade(grade[x])} at {at!r} exceeds "
-        f"s({at!r})={format_grade(grade[y])} via ({by!r},{src!r})", witness=witness
+        f"image grade {format_grade(s.grades[x])} at {at!r} exceeds "
+        f"s({at!r})={format_grade(s.grades[y])} via ({by!r},{src!r})", witness=witness
     )
-
-
-def subgroup_closure(group: FiniteGroup, elements) -> tuple:
-    """Closure of a subset under products and inverses, in carrier order:
-    the fixpoint of adding the inverses and products of the members."""
-    mul, inv = group._ints, group._inv
-    members = set(map(group.carrier.index, (group.identity, *elements)))
-    while True:
-        grown = members.union((inv[x] for x in members),
-                              (mul[x][y] for x in members for y in members))
-        if grown == members:
-            return tuple(group.carrier.elements[i] for i in sorted(members))
-        members = grown
 
 
 def check_subgroup(group: FiniteGroup, elements) -> Verdict:
@@ -293,9 +272,9 @@ def restrict_to_invariant(action: FiniteAction, s: FuzzySet) -> FiniteAction:
     """Action restricted to the support of an invariant fuzzy subset, which
     the action maps into itself: s(g.x) >= s(x) > 0."""
     is_G_invariant(action, s).require("subset is not invariant")
-    keep = [x for x, g in enumerate(s.grades) if g > 0]
+    keep = [x for x, n in enumerate(s.nums) if n]
     space = Carrier(s.support())
-    ambient = FuzzySet._trusted(space, tuple(s.grades[x] for x in keep))
+    ambient = FuzzySet._from_nums(space, tuple(s.nums[x] for x in keep), s.den)
     rows = (tuple(row[x] for x in keep) for row in action.table)
     return FiniteAction(action.group, space, ambient, rows)
 

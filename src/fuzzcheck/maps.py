@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CarrierMismatchError
-from .sets import FuzzySet, Verdict, ZERO, is_subset
+from .sets import FuzzySet, Verdict, ZERO, intersection, is_subset
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,11 @@ def image(f: ProperFunction, a: FuzzySet) -> FuzzySet:
     if a.carrier != f.source.carrier:
         raise CarrierMismatchError("A must live on the source carrier")
     is_subset(a, f.source).require("A exceeds its bound")
-    out = [ZERO] * len(f.target.carrier)
-    for y, g in zip(f._ints, a.grades):
-        if g > out[y]:
-            out[y] = g
-    return FuzzySet._trusted(f.target.carrier, tuple(out))
+    out = [0] * len(f.target.carrier)
+    for y, n in zip(f._ints, a.nums):
+        if n > out[y]:
+            out[y] = n
+    return FuzzySet._from_nums(f.target.carrier, tuple(out), a.den)
 
 
 def preimage(f: ProperFunction, b: FuzzySet) -> FuzzySet:
@@ -77,8 +77,8 @@ def preimage(f: ProperFunction, b: FuzzySet) -> FuzzySet:
     if b.carrier != f.target.carrier:
         raise CarrierMismatchError("B must live on the target carrier")
     is_subset(b, f.target).require("B exceeds its bound")
-    grades = tuple(min(gx, b.grades[y]) for gx, y in zip(f.source.grades, f._ints))
-    return FuzzySet._trusted(f.source.carrier, grades)
+    pulled = FuzzySet._from_nums(f.source.carrier, tuple(b.nums[y] for y in f._ints), b.den)
+    return intersection([f.source, pulled])
 
 
 def classify(f: ProperFunction) -> MapFlags:
@@ -86,7 +86,7 @@ def classify(f: ProperFunction) -> MapFlags:
     target element has a preimage; bijective iff both."""
     hit = set(f._ints)
     injective = len(hit) == len(f.images)
-    missed = [y for y, gy in enumerate(f.target.grades) if gy > 0 and y not in hit]
+    missed = [y for y, n in enumerate(f.target.nums) if n and y not in hit]
     witness = f.target.carrier.elements[missed[0]] if missed else None
     return MapFlags(injective, not missed, injective and not missed, witness)
 

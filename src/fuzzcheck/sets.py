@@ -1,23 +1,23 @@
 """Exact membership grades and the fuzzy set algebra.
 
-Grades are exact rationals in [0,1] (``fractions.Fraction``); min/max and
-comparisons are therefore exact and evaluation-order independent.  Float
-grades appear only in the numeric manifold module.
+Grades are exact rationals in [0,1].  A `FuzzySet` stores them as integer
+numerators over one denominator in lowest terms, so min/max and comparisons
+are exact integer operations; `Fraction`s appear only where grades are
+parsed, formatted or handed to callers (`FuzzySet.grades`).  Float grades
+appear only in the numeric manifold module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable
 
 from .errors import CarrierMismatchError, DominationError
 
-Grade = Fraction
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_grade(value) -> Fraction:
@@ -130,27 +130,47 @@ class Carrier:
         return Carrier(tuple((x, y) for x in a for y in b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FuzzySet:
-    """A grade per carrier element; immutable and hashable."""
+    """A grade per carrier element; immutable and hashable.  Grade i is
+    nums[i] / den, where den is the least common denominator of the grades,
+    so two sets are equal exactly when their (carrier, nums, den) are."""
 
     carrier: Carrier
-    grades: tuple = field(default=())
+    nums: tuple  # one int in 0..den per carrier element
+    den: int
 
-    def __post_init__(self):
-        grades = tuple(as_grade(g) for g in self.grades)
-        if len(grades) != len(self.carrier):
+    def __init__(self, carrier: Carrier, grades=()):
+        values = tuple(grades)
+        fracs = [Fraction(v) for v in values]
+        den = math.lcm(1, *(g.denominator for g in fracs))
+        nums = tuple(g.numerator * (den // g.denominator) for g in fracs)
+        for v, n in zip(values, nums):
+            if not 0 <= n <= den:
+                raise ValueError(f"grade outside [0,1]: {v!r}")
+        if len(nums) != len(carrier):
             raise ValueError("one grade per carrier element required")
-        object.__setattr__(self, "grades", grades)
+        vars(self).update(carrier=carrier, nums=nums, den=den)  # past the frozen setattr
 
     @classmethod
-    def _trusted(cls, carrier: Carrier, grades: tuple) -> "FuzzySet":
-        """Build from a tuple of Fractions already known to lie in [0,1], one
-        per carrier element, without re-validating each grade."""
+    def _from_nums(cls, carrier: Carrier, nums: tuple, den: int) -> "FuzzySet":
+        """Build from numerators already known to lie in 0..den, one per
+        carrier element, without re-validating them; reduces to lowest terms."""
+        g = math.gcd(den, *nums)
         s = object.__new__(cls)
-        object.__setattr__(s, "carrier", carrier)
-        object.__setattr__(s, "grades", grades)
+        vars(s).update(carrier=carrier, nums=nums if g == 1 else tuple(n // g for n in nums),
+                       den=den // g)
         return s
+
+    @cached_property
+    def grades(self) -> tuple:
+        """The grades as Fractions, aligned with the carrier."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def over(self, den: int) -> tuple:
+        """The numerators over `den`, a multiple of this set's denominator."""
+        k = den // self.den
+        return self.nums if k == 1 else tuple(n * k for n in self.nums)
 
     @classmethod
     def from_map(cls, carrier: Carrier, mapping, default=ZERO) -> "FuzzySet":
@@ -158,16 +178,15 @@ class FuzzySet:
 
     @classmethod
     def constant(cls, carrier: Carrier, g) -> "FuzzySet":
-        g = as_grade(g)
         return cls(carrier, (g,) * len(carrier))
 
     @classmethod
     def zero(cls, carrier: Carrier) -> "FuzzySet":
-        return cls.constant(carrier, ZERO)
+        return cls.constant(carrier, 0)
 
     @classmethod
     def ones(cls, carrier: Carrier) -> "FuzzySet":
-        return cls.constant(carrier, ONE)
+        return cls.constant(carrier, 1)
 
     @classmethod
     def point(cls, carrier: Carrier, base, height) -> "FuzzySet":
@@ -181,7 +200,7 @@ class FuzzySet:
         return zip(self.carrier.elements, self.grades)
 
     def support(self) -> tuple:
-        return tuple(x for x, g in self.items() if g > 0)
+        return tuple(x for x, n in zip(self.carrier.elements, self.nums) if n)
 
     def __repr__(self):
         body = ", ".join(f"{x!r}:{format_grade(g)}" for x, g in self.items())
@@ -202,42 +221,47 @@ class FuzzyPoint:
         object.__setattr__(self, "height", h)
 
 
-def _common_carrier(sets: Iterable[FuzzySet]) -> Carrier:
+def _aligned(sets: Iterable[FuzzySet]) -> tuple:
+    """(carrier, den, rows): the carrier the sets share, the lcm of their
+    denominators, and each set's numerators over it."""
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one fuzzy set")
     carrier = sets[0].carrier
-    for s in sets[1:]:
-        if s.carrier != carrier:
-            raise CarrierMismatchError("fuzzy sets live on different carriers")
-    return carrier
+    if any(s.carrier != carrier for s in sets):
+        raise CarrierMismatchError("fuzzy sets live on different carriers")
+    den = math.lcm(*(s.den for s in sets))
+    return carrier, den, [s.over(den) for s in sets]
+
+
+def _pointwise(op, sets: Iterable[FuzzySet]) -> FuzzySet:
+    carrier, den, rows = _aligned(sets)
+    return FuzzySet._from_nums(carrier, tuple(map(op, zip(*rows))), den)
 
 
 def union(sets: Iterable[FuzzySet]) -> FuzzySet:
     """Pointwise maximum over a nonempty family on a common carrier."""
-    sets = list(sets)
-    carrier = _common_carrier(sets)
-    return FuzzySet(carrier, tuple(max(gs) for gs in zip(*(s.grades for s in sets))))
+    return _pointwise(max, sets)
 
 
 def intersection(sets: Iterable[FuzzySet]) -> FuzzySet:
     """Pointwise minimum over a nonempty family on a common carrier."""
-    sets = list(sets)
-    carrier = _common_carrier(sets)
-    return FuzzySet(carrier, tuple(min(gs) for gs in zip(*(s.grades for s in sets))))
+    return _pointwise(min, sets)
 
 
 def product(lam: FuzzySet, mu: FuzzySet) -> FuzzySet:
     """Fuzzy set on the cartesian product carrier with grade min(lam(x), mu(y))."""
-    carrier = Carrier.product(lam.carrier, mu.carrier)
-    grades = tuple(min(gx, gy) for gx in lam.grades for gy in mu.grades)
-    return FuzzySet(carrier, grades)
+    den = math.lcm(lam.den, mu.den)
+    ys = mu.over(den)
+    nums = tuple(min(x, y) for x in lam.over(den) for y in ys)
+    return FuzzySet._from_nums(Carrier.product(lam.carrier, mu.carrier), nums, den)
 
 
 def level_set(mu: FuzzySet, t) -> tuple:
     """Crisp subset {x : mu(x) >= t}, in carrier order."""
     t = as_grade(t)
-    return tuple(x for x, g in mu.items() if g >= t)
+    bar = t.numerator * mu.den  # n / den >= p / q exactly when n * q >= p * den
+    return tuple(x for x, n in zip(mu.carrier.elements, mu.nums) if n * t.denominator >= bar)
 
 
 def complement_in(ambient: FuzzySet, sub: FuzzySet) -> FuzzySet:
@@ -247,16 +271,18 @@ def complement_in(ambient: FuzzySet, sub: FuzzySet) -> FuzzySet:
     double complement an involution on sets below the ambient.
     """
     is_subset(sub, ambient).require("subset exceeds ambient")
-    return FuzzySet(ambient.carrier, tuple(ga - gs for ga, gs in zip(ambient.grades, sub.grades)))
+    carrier, den, (a, s) = _aligned([ambient, sub])
+    return FuzzySet._from_nums(carrier, tuple(x - y for x, y in zip(a, s)), den)
 
 
 def is_subset(a: FuzzySet, b: FuzzySet) -> Verdict:
     """a <= b pointwise; on failure the witness is the first violating element."""
-    carrier = _common_carrier([a, b])
-    for x, ga, gb in zip(carrier.elements, a.grades, b.grades):
-        if ga > gb:
+    carrier, den, (na, nb) = _aligned([a, b])
+    for x, p, r in zip(carrier.elements, na, nb):
+        if p > r:
             return Verdict.failed(
-                f"grade {format_grade(ga)} > {format_grade(gb)} at {x!r}", witness=x
+                f"grade {format_grade(Fraction(p, den))} > {format_grade(Fraction(r, den))} "
+                f"at {x!r}", witness=x
             )
     return Verdict.passed()
 
@@ -271,7 +297,7 @@ def point_in(p: FuzzyPoint, mu: FuzzySet) -> bool:
 
 def is_normal_element(lam: FuzzySet, mu: FuzzySet, a) -> Verdict:
     """lam(a) >= mu(y) for every y; witness is the first dominating y."""
-    _common_carrier([lam, mu])
+    _aligned([lam, mu])  # refuses sets on different carriers
     ga = lam(a)
     for y, gy in mu.items():
         if ga < gy:

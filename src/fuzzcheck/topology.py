@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import itemgetter, or_
+from operator import or_
 
 from .errors import CarrierMismatchError, ResourceCapError
 from .maps import ProperFunction, classify, image, preimage
@@ -41,14 +41,14 @@ class GradeLattice:
         return 0 <= g <= 1 and (g * self.q).denominator == 1
 
     def contains_set(self, s: FuzzySet) -> bool:
-        return all(self.contains(g) for g in s.grades)
+        return self.q % s.den == 0
 
 
 class _IntView:
     """A topology as the scans see it.
 
-    Grades become numerators over one scale: the lcm of q and every
-    denominator in the ambient and the opens, because a --literal family may
+    Grades become numerators over one scale: the lcm of q and the
+    denominators of the ambient and the opens, because a --literal family may
     hold grades off the lattice.  Each open also gets an int code: per
     coordinate, the rank r of its numerator among the values the opens take
     there, written as r one-bits (a thermometer code).  The code of a
@@ -61,17 +61,12 @@ class _IntView:
         if any(s.carrier != carrier for s in tau.opens):
             raise CarrierMismatchError("an open lives on another carrier than the ambient set")
         self.q = q = tau.lattice.q
-        scale = math.lcm(q, *{g.denominator for s in (tau.ambient, *tau.opens) for g in s.grades})
+        scale = math.lcm(q, tau.ambient.den, *{s.den for s in tau.opens})
         self.step = scale // q
-
-        def numerators(s):
-            return tuple(g.numerator * (scale // g.denominator) for g in s.grades)
-
-        self.ambient = numerators(tau.ambient)
+        self.ambient = tau.ambient.over(scale)
         # Numerators over one positive scale order like the grades themselves.
-        ordered = sorted(zip(map(numerators, tau.opens), tau.opens), key=itemgetter(0))
-        self.opens = [s for _, s in ordered]
-        self.keys = [k for k, _ in ordered]  # numerators, aligned with `opens`
+        self.opens = sorted(tau.opens, key=lambda s: s.over(scale))
+        self.keys = [s.over(scale) for s in self.opens]  # aligned with `opens`
         self.bits = []  # per coordinate: numerator -> its bits in a code
         offset = 0
         for i in range(len(carrier)):
@@ -104,11 +99,17 @@ class FuzzyTopology:
     lattice: GradeLattice
 
     @classmethod
-    def literal(cls, ambient: FuzzySet, opens: list, lattice: GradeLattice) -> "FuzzyTopology":
-        """The listed family, unclosed; each open in turn must lie under the ambient."""
+    def literal(cls, ambient: FuzzySet, opens: list, lattice: GradeLattice,
+                cap: int = DEFAULT_CLOSURE_CAP) -> "FuzzyTopology":
+        """The listed family, unclosed; each open in turn must lie under the
+        ambient, and the family may hold at most `cap` opens."""
+        _require_cap(cap)
         for s in opens:
             is_subset(s, ambient).require("generator exceeds ambient")
-        return cls(ambient, frozenset(opens), lattice)
+        family = frozenset(opens)
+        if len(family) > cap:
+            raise ResourceCapError(f"literal topology exceeded cap of {cap} opens")
+        return cls(ambient, family, lattice)
 
     def sorted_opens(self) -> list:
         """Opens in a canonical order (by grade tuple); used for determinism."""
@@ -119,9 +120,9 @@ class FuzzyTopology:
         return _IntView(self)
 
 
-def cut(ambient: FuzzySet, t: Fraction) -> FuzzySet:
-    """The constant t intersected with the ambient set."""
-    return FuzzySet(ambient.carrier, tuple(min(t, g) for g in ambient.grades))
+def _require_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError("closure cap must be a positive integer")
 
 
 def _closure(top: tuple, generators, cap: int) -> set:
@@ -160,8 +161,7 @@ def generate(
     The closure lives inside lattice^carrier, hence terminates; exceeding
     `cap` raises ResourceCapError rather than truncating.
     """
-    if cap < 1:
-        raise ValueError("closure cap must be a positive integer")
+    _require_cap(cap)
     if not lattice.contains_set(ambient):
         raise ValueError("ambient grades must lie in the lattice")
     for g in generators:
@@ -169,16 +169,9 @@ def generate(
         if not lattice.contains_set(g):
             raise ValueError("generator grade outside the lattice")
 
-    q = lattice.q
-
-    def numerators(s):
-        return tuple(g.numerator * (q // g.denominator) for g in s.grades)
-
-    top = numerators(ambient)
-    keys = _closure(top, map(numerators, generators), cap)
-    grade = [Fraction(k, q) for k in range(max(top) + 1)]
-    carrier = ambient.carrier
-    opens = frozenset(FuzzySet._trusted(carrier, tuple(grade[k] for k in key)) for key in keys)
+    q, carrier = lattice.q, ambient.carrier
+    keys = _closure(ambient.over(q), (g.over(q) for g in generators), cap)
+    opens = frozenset(FuzzySet._from_nums(carrier, key, q) for key in keys)
     return FuzzyTopology(ambient, opens, lattice)
 
 
@@ -225,8 +218,9 @@ def is_open_base(base, tau: FuzzyTopology) -> Verdict:
     return Verdict.passed()
 
 
-def product_topology(tau1: FuzzyTopology, tau2: FuzzyTopology) -> FuzzyTopology:
-    """Generated by products of opens, over the product ambient."""
+def product_topology(tau1: FuzzyTopology, tau2: FuzzyTopology,
+                     cap: int = DEFAULT_CLOSURE_CAP) -> FuzzyTopology:
+    """Generated by products of opens over the product ambient, up to `cap` opens."""
     from .sets import product as set_product
 
     if tau1.lattice != tau2.lattice:
@@ -237,7 +231,7 @@ def product_topology(tau1: FuzzyTopology, tau2: FuzzyTopology) -> FuzzyTopology:
         for g1 in tau1.sorted_opens()
         for g2 in tau2.sorted_opens()
     ]
-    return generate(ambient, base, tau1.lattice)
+    return generate(ambient, base, tau1.lattice, cap)
 
 
 def is_T1(tau: FuzzyTopology) -> Verdict:

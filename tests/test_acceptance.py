@@ -20,10 +20,8 @@ from fuzzcheck.groups import (
     cyclic_group,
     is_G_invariant,
     is_fuzzy_subgroup,
-    level_subgroup_oracle,
     quotient_action,
     restrict_to_subgroup,
-    subgroup_closure,
     symmetric_group,
     verify_action,
 )
@@ -44,6 +42,7 @@ from fuzzcheck.topology import (
     generate,
     verify_axioms,
 )
+from groups_oracle import level_subgroup_oracle, subgroup_closure
 
 
 def _verdict(number: int, title: str, ok: bool):

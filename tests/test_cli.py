@@ -104,11 +104,20 @@ class TestExitCodes:
     def test_cap_below_one_is_two(self, tmp_path, cap):
         amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
         topo = put(tmp_path, "topo.txt", f"ambient: {amb}\nq=4\n")
-        code, out = run("check-topology", topo, "--cap", cap, "--format", "machine")
-        assert code == 2
-        fields = lines_of(out)
-        assert fields["VERDICT"] == "error"
-        assert fields["WITNESS_REASON"] == "closure cap must be a positive integer"
+        for literal in ([], ["--literal"]):
+            code, out = run("check-topology", topo, *literal, "--cap", cap, "--format", "machine")
+            assert code == 2
+            fields = lines_of(out)
+            assert fields["VERDICT"] == "error"
+            assert fields["WITNESS_REASON"] == "closure cap must be a positive integer"
+
+    def test_literal_family_above_cap_is_three(self, tmp_path):
+        amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
+        topo = put(tmp_path, "topo.txt", f"ambient: {amb}\nq=1\ngen:\na 0\nb 0\ngen:\na 1\nb 1\n")
+        assert run("check-topology", topo, "--literal", "--cap", "2")[0] == 0
+        code, out = run("check-topology", topo, "--literal", "--cap", "1", "--format", "machine")
+        assert code == 3
+        assert lines_of(out)["WITNESS_REASON"] == "literal topology exceeded cap of 1 opens"
 
 
 class TestDeterminism:
@@ -231,6 +240,19 @@ class TestTopologyCommands:
         fields = lines_of(out)
         assert fields["WITNESS_REASON"] == "inversion is not fuzzy continuous"
         assert fields["WITNESS_AT"] == "(preimage,FuzzySet('0':0, '1':1, '2':0))"
+
+    def test_topgroup_cap_bounds_the_product_topology(self, tmp_path):
+        # The discrete topology on Z3 at q=1 has 8 opens; its square has 512.
+        z3 = put(tmp_path, "z3.txt", "elements: 0 1 2\n0 1 2\n1 2 0\n2 0 1\n")
+        amb = put(tmp_path, "amb.txt", "0 1\n1 1\n2 1\n")
+        points = "".join(f"gen:\n{x} 1\n" for x in "012")  # the missing grades are 0
+        discrete = put(tmp_path, "disc.txt", f"ambient: {amb}\nq=1\n{points}")
+        assert run("check-topgroup", z3, discrete, "--cap", "512")[0] == 0
+        code, out = run("check-topgroup", z3, discrete, "--cap", "10", "--format", "machine")
+        assert code == 3
+        fields = lines_of(out)
+        assert fields["VERDICT"] == "error"
+        assert fields["WITNESS_REASON"] == "topology closure exceeded cap of 10 opens"
 
 
 class TestActionCommands:

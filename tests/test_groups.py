@@ -17,18 +17,17 @@ from fuzzcheck.groups import (
     is_G_invariant,
     is_fuzzy_subgroup,
     is_fuzzy_topological_group,
-    level_subgroup_oracle,
     quaternion_group,
     quotient_action,
     restrict_to_invariant,
     restrict_to_subgroup,
-    subgroup_closure,
     symmetric_group,
     validate_group,
     verify_action,
 )
 from fuzzcheck.sets import Carrier, FuzzySet
 from fuzzcheck.topology import GradeLattice, generate
+from groups_oracle import level_subgroup_oracle, subgroup_closure
 
 
 def fs(group, mapping):

@@ -19,11 +19,9 @@ from fuzzcheck.groups import (
     dihedral_group,
     is_fuzzy_subgroup,
     is_G_invariant,
-    level_subgroup_oracle,
     quotient_action,
     restrict_to_invariant,
     restrict_to_subgroup,
-    subgroup_closure,
     symmetric_group,
     validate_group,
     verify_action,
@@ -134,10 +132,6 @@ def test_fuzzy_subgroup_scans_match_label_loops(data):
     group = data.draw(groups())
     mu = data.draw(graded(group))
     assert same(is_fuzzy_subgroup(mu, group), oracle.is_fuzzy_subgroup(mu, group))
-    if group in GROUPS:
-        # The level oracle asks for the identity too, which a nonempty subset
-        # closed under products and inverses holds in a group.
-        assert level_subgroup_oracle(mu, group) == oracle.level_subgroup_oracle(mu, group)
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,8 +140,6 @@ def test_subgroup_checks_match_label_loops(data):
     group = data.draw(groups())
     elements = data.draw(subsets(group))
     assert same(check_subgroup(group, elements), oracle.check_subgroup(group, elements))
-    if "stray" not in elements:
-        assert subgroup_closure(group, elements) == oracle.subgroup_closure(group, elements)
     if group in GROUPS:
         assert outcome(coset_action, group, elements) == outcome(
             oracle.coset_action, group, elements)

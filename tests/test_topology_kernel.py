@@ -13,7 +13,6 @@ from fuzzcheck.sets import Carrier, FuzzySet
 from fuzzcheck.topology import (
     FuzzyTopology,
     GradeLattice,
-    cut,
     generate,
     is_T1,
     is_hausdorff,
@@ -68,8 +67,8 @@ def literal_families(draw):
     try:
         family = generate(ambient, gens, lattice, cap=ORACLE_CAP).sorted_opens()
     except ResourceCapError:
-        family = [cut(ambient, t) for t in lattice.members()] + gens
-    cuts = {cut(ambient, t) for t in lattice.members()}
+        family = [oracle.cut(ambient, t) for t in lattice.members()] + gens
+    cuts = {oracle.cut(ambient, t) for t in lattice.members()}
     inner = [s for s in family if s not in cuts]
     dropped = draw(st.sets(st.sampled_from(inner), max_size=3)) if inner else set()
     if draw(st.integers(0, 4)) == 0:

@@ -24,8 +24,12 @@ from fuzzcheck.topology import (
     DEFAULT_CLOSURE_CAP,
     FuzzyTopology,
     GradeLattice,
-    cut,
 )
+
+
+def cut(ambient: FuzzySet, t: Fraction) -> FuzzySet:
+    """The constant t intersected with the ambient set."""
+    return FuzzySet(ambient.carrier, tuple(min(t, g) for g in ambient.grades))
 
 
 def generate(
