@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 from . import lie, manifold
@@ -477,7 +478,26 @@ def execute(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(execute())
+    """The console entry point: `execute`, then end the process at once.
+
+    Once the report is written the process has nothing left to do, so it
+    flushes stdout and stderr and leaves by `os._exit`, skipping module
+    teardown and the final garbage collection.  An uncaught exception, a
+    `SystemExit` whose code is not an int and a flush that fails (say, on a
+    closed pipe) still leave through the interpreter, which prints the
+    traceback or message and exits as it always has."""
+    try:
+        code = execute()
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        code = exc.code
+        if not isinstance(code, int):
+            raise
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
 
 
 if __name__ == "__main__":

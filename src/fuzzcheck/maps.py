@@ -7,11 +7,12 @@ crisp fibers.  The scans run on the images as target indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CarrierMismatchError
-from .sets import FuzzySet, Verdict, ZERO, intersection, is_subset
+from .sets import FuzzySet, Verdict, ZERO, is_subset
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,11 @@ def image(f: ProperFunction, a: FuzzySet) -> FuzzySet:
     if a.carrier != f.source.carrier:
         raise CarrierMismatchError("A must live on the source carrier")
     is_subset(a, f.source).require("A exceeds its bound")
+    return _image(f, a)
+
+
+def _image(f: ProperFunction, a: FuzzySet) -> FuzzySet:
+    """`image` for an A already known to lie under the source."""
     out = [0] * len(f.target.carrier)
     for y, n in zip(f._ints, a.nums):
         if n > out[y]:
@@ -77,8 +83,15 @@ def preimage(f: ProperFunction, b: FuzzySet) -> FuzzySet:
     if b.carrier != f.target.carrier:
         raise CarrierMismatchError("B must live on the target carrier")
     is_subset(b, f.target).require("B exceeds its bound")
-    pulled = FuzzySet._from_nums(f.source.carrier, tuple(b.nums[y] for y in f._ints), b.den)
-    return intersection([f.source, pulled])
+    return _preimage(f, b)
+
+
+def _preimage(f: ProperFunction, b: FuzzySet) -> FuzzySet:
+    """`preimage` for a B already known to lie under the target."""
+    den = math.lcm(f.source.den, b.den)
+    pulled = b.over(den)
+    nums = tuple(min(n, pulled[y]) for n, y in zip(f.source.over(den), f._ints))
+    return FuzzySet._from_nums(f.source.carrier, nums, den)
 
 
 def classify(f: ProperFunction) -> MapFlags:

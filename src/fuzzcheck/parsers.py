@@ -20,7 +20,14 @@ from .lie import (
     StructureConstants,
 )
 from .maps import ProperFunction
-from .sets import Carrier, FuzzySet, parse_grade, parse_rational
+from .sets import (
+    MAX_COMMON_DENOMINATOR,
+    MAX_DECIMAL_EXPONENT,
+    Carrier,
+    FuzzySet,
+    parse_grade,
+    parse_rational,
+)
 from .topology import GradeLattice
 
 # Largest Lie algebra dimension accepted.  The constants are stored
@@ -67,23 +74,37 @@ def _once(path, no, value, header):
         raise ParseError(path, no, f"repeated {header!r} line")
 
 
-def _read_grade(path, no, line, grades: dict):
+class _Grades(dict):
+    """element -> grade for the lines of one set read so far, with the lcm
+    of their denominators."""
+
+    den = 1
+
+
+def _read_grade(path, no, line, grades: _Grades):
     """Add an `element grade` line to `grades` and return the element; a
-    malformed line or an element graded before is an error."""
+    malformed line, an element graded before or a grade that takes the
+    common denominator past MAX_COMMON_DENOMINATOR is an error.  Above the
+    bound, the common denominator may only be one grade's own."""
     parts = line.split()
     if len(parts) != 2:
         raise ParseError(path, no, "expected 'element grade'")
     elem, grade_text = parts
     if elem in grades:
         raise ParseError(path, no, f"duplicate element {elem!r}")
-    grades[elem] = _parse(path, no, parse_grade, grade_text)
+    g = grades[elem] = _parse(path, no, parse_grade, grade_text)
+    den = math.lcm(grades.den, g.denominator)
+    if den > max(MAX_COMMON_DENOMINATOR, grades.den, g.denominator):
+        raise ParseError(path, no, "common denominator of the grades exceeds "
+                                   f"10**{MAX_DECIMAL_EXPONENT}")
+    grades.den = den
     return elem
 
 
 def load_fuzzy_set(path, carrier: Carrier | None = None) -> FuzzySet:
     """One `element grade` pair per line; duplicate elements are an error.
     When a carrier is given the file must grade exactly its elements."""
-    grades = {}
+    grades = _Grades()
     for no, line in _lines(path):
         elem = _read_grade(path, no, line, grades)
         if carrier is not None and elem not in carrier:
@@ -190,7 +211,7 @@ def load_topology(path) -> tuple:
             if ambient is None:
                 raise ParseError(path, no, "generator before 'ambient:' line")
             flush()
-            current, gen_no = {}, no
+            current, gen_no = _Grades(), no
             continue
         if current is None:
             raise ParseError(path, no, "expected 'ambient:', 'q=', or 'gen:'")

@@ -43,6 +43,15 @@ def _check_exponent(text: str) -> None:
         raise ValueError(f"exponent of {text.strip()!r} exceeds {MAX_DECIMAL_EXPONENT}")
 
 
+# Largest common denominator that the grades of one parsed set may reach by
+# combining literals.  A FuzzySet rescales every grade to the lcm of their
+# denominators, so n grades over distinct primes would hold n numerators the
+# size of a product of n primes.  A common denominator that is one literal's
+# own is bounded by that literal's length and stays allowed, so every literal
+# accepted on its own still is.
+MAX_COMMON_DENOMINATOR = 10**MAX_DECIMAL_EXPONENT
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', an integer, or a decimal literal as an exact rational."""
     _check_exponent(text)

