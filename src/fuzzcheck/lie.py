@@ -105,22 +105,24 @@ def validate_lie(sc: StructureConstants) -> Verdict:
     """Antisymmetry of the constants and the Jacobi identity on all basis
     triples; bilinearity is structural in this representation.
 
-    Both scans visit, in ascending order, only the triples that can fail:
-    antisymmetry the listed entries and their mirrors, Jacobi the triples
-    (i, j, k) where one of [e_j, e_k], [e_k, e_i] or [e_i, e_j] is nonzero.
-    Jacobi runs on the ints, which scales every sum by scale**2.
+    Both scans visit, in ascending order, only the cases that can fail,
+    each once.  Antisymmetry scans i <= j over the listed entries and their
+    mirrors.  Once it holds, the Jacobi sum is alternating: zero on a
+    repeated index, and failing on a triple exactly when it fails on the
+    sorted triple.  So Jacobi scans i < j < k where one of [e_j, e_k],
+    [e_k, e_i] or [e_i, e_j] is nonzero.  A scan over every ordering would
+    first fail on a sorted case too, so the witness is the same.  Jacobi
+    runs on the ints, which scales every sum by scale**2.
     """
     ints = sc.ints
     coef = {(i, j, k): c for (i, j), terms in ints.items() for k, c in terms}
-    for i, j, k in sorted(coef.keys() | {(j, i, k) for i, j, k in coef}):
+    for i, j, k in sorted({(min(i, j), max(i, j), k) for i, j, k in coef}):
         if coef.get((i, j, k), 0) != -coef.get((j, i, k), 0):
             return Verdict.failed(
                 f"antisymmetry fails at c[{i}][{j}][{k}]", witness=(i, j, k)
             )
-    candidates = set()
-    for a, b in ints:
-        for m in range(sc.dim):
-            candidates.update(((m, a, b), (b, m, a), (a, b, m)))
+    candidates = {tuple(sorted((a, b, m))) for a, b in ints if a < b
+                  for m in range(sc.dim) if m != a and m != b}
     for i, j, k in sorted(candidates):
         total = {}
         # [e_p, [e_q, e_r]] for the three cyclic orders of (i, j, k)
@@ -250,6 +252,10 @@ def _check_conditions(mu, sc, samples, bracket_bound) -> Verdict:
     out as positive multiples of the exact ones, with the same grades.
     Grades are compared as ranks; a pair whose bound is the lowest grade
     cannot fail and is skipped.
+
+    The sum condition is symmetric, so y runs from x's position on: a pair
+    that fails with y before x fails swapped, earlier, so the first witness
+    is the one a scan of all ordered pairs finds.
     """
     if len(samples.vectors[0]) != sc.dim:
         raise ValueError("sample dimension differs from the algebra's")
@@ -261,8 +267,8 @@ def _check_conditions(mu, sc, samples, bracket_bound) -> Verdict:
     for x in samples.vectors:
         X = [v.numerator * (scale // v.denominator) for v in x]
         points.append((x, X, grade(X)))
-    for x, X, gx in points:
-        for y, Y, gy in points:
+    for n, (x, X, gx) in enumerate(points):
+        for y, Y, gy in points[n:]:
             low = min(gx, gy)
             if low:
                 gsum = grade(list(map(add, X, Y)))

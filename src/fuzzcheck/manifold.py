@@ -95,13 +95,9 @@ class TransitionMap:
     coords: np.ndarray   # sorted source-chart coordinates of overlap samples
     values: np.ndarray   # target-chart coordinates at the same samples
     seams: tuple         # source-coordinate seam locations
-    inverse_seams: tuple
 
     def __call__(self, s: float) -> float:
         return self.target.coord(self.source.coord_inverse(s))
-
-    def inverse(self, s: float) -> float:
-        return self.source.coord(self.target.coord_inverse(s))
 
 
 def transition_map(atlas: Atlas, j: int, l: int, atlas2: Optional[Atlas] = None) -> TransitionMap:
@@ -126,8 +122,7 @@ def transition_map(atlas: Atlas, j: int, l: int, atlas2: Optional[Atlas] = None)
                 raise ValueError(f"chart {src.label}: coord o coord_inverse deviates at {s}")
     seam_pts = atlas.seam_points + (atlas2.seam_points if atlas2 is not None else ())
     seams = tuple(sorted({src.coord(p) for p in seam_pts if src.membership(p) > 0.0}))
-    inverse_seams = tuple(sorted({tgt.coord(p) for p in seam_pts if tgt.membership(p) > 0.0}))
-    return TransitionMap(src, tgt, coords, values, seams, inverse_seams)
+    return TransitionMap(src, tgt, coords, values, seams)
 
 
 def _central(fn, x: float, h: float) -> float:
@@ -179,17 +174,12 @@ def _jump_scan(report: C1Report, positions, derivatives, cap: float) -> Optional
     return first
 
 
-def check_c1_diffeo(
-    fn: Callable[[float], float],
-    grid,
-    tol: Tolerances = Tolerances(),
-    seams: Sequence[float] = (),
-    inverse_fn: Optional[Callable[[float], float]] = None,
-    inverse_seams: Sequence[float] = (),
-) -> C1Report:
+def check_c1_diffeo(fn: Callable[[float], float], grid, tol: Tolerances = Tolerances(),
+                    seams: Sequence[float] = ()) -> C1Report:
     """Injectivity on the grid, finite-difference derivative stability under
-    step halving, derivative continuity along the grid, and the same for the
-    inverse when supplied.
+    step halving, and derivative continuity along the grid, all for fn in
+    its own direction only.  The inverse of a transition is the reverse
+    transition, which check_atlas checks as a pair of its own.
 
     Grid cells touching a declared seam or a component edge are skipped: the
     piecewise chart formulas end there and central differences would straddle
@@ -247,15 +237,6 @@ def check_c1_diffeo(
         report.checked_points += len(pts)
     if report.checked_points == 0:
         return C1Report(False, "grid too small", witness=len(grid))
-
-    if inverse_fn is not None:
-        inv = check_c1_diffeo(inverse_fn, np.sort(values), tol, seams=inverse_seams)
-        report.max_stability_error = max(report.max_stability_error, inv.max_stability_error)
-        report.max_derivative_jump = max(report.max_derivative_jump, inv.max_derivative_jump)
-        if not inv.ok:
-            return replace(
-                report, ok=False, reason=f"inverse: {inv.reason}", witness=inv.witness
-            )
     return report
 
 
@@ -281,7 +262,8 @@ def _factor_pairs(atlas: Atlas, atlas2: Optional[Atlas]) -> list:
     """(source atlas, j, l, target atlas or None) for every ordered pair of
     distinct charts within each atlas, then, with a second atlas, every pair
     across the two in both directions.  None means the target chart l is in
-    the source atlas."""
+    the source atlas.  Each pair's reverse orientation is its transition's
+    inverse, so listing both covers every inverse."""
     atlases = (atlas,) if atlas2 is None else (atlas, atlas2)
     out = [(a, j, l, None) for a in atlases
            for j, l in permutations(range(len(a.charts)), 2)]
@@ -296,7 +278,9 @@ def check_atlas(atlas: Atlas, atlas2: Optional[Atlas] = None,
     """Cover diagnostics of the first atlas plus every pairwise (and, with a
     second atlas, cross) transition C1 check.  A transition between charts
     with inverse formulas gets check_c1_diffeo; one involving a tabulated
-    chart, which has none, gets check_c1_tabulated over the overlap table."""
+    chart, which has none, gets check_c1_tabulated over the overlap table.
+    Each check covers one direction; the inverse of j -> l is checked as
+    the pair l -> j."""
     if atlas2 is not None and atlas.samples != atlas2.samples:
         raise ValueError("compatibility checks require a shared sample list")
     cover = check_cover_condition(atlas, normalize=normalize_cover)
@@ -310,8 +294,7 @@ def check_atlas(atlas: Atlas, atlas2: Optional[Atlas] = None,
         if tr.source.coord_inverse is None or tr.target.coord_inverse is None:
             rep = check_c1_tabulated(tr.coords, tr.values, tol)
         else:
-            rep = check_c1_diffeo(tr, tr.coords, tol, seams=tr.seams, inverse_fn=tr.inverse,
-                                  inverse_seams=tr.inverse_seams)
+            rep = check_c1_diffeo(tr, tr.coords, tol, seams=tr.seams)
         pairs.append(PairCheck(tr.source.label, tr.target.label, rep))
     return AtlasReport(cover, pairs, all(pc.report.ok for pc in pairs))
 

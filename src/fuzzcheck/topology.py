@@ -254,9 +254,12 @@ def is_T1(tau: FuzzyTopology) -> Verdict:
 def is_hausdorff(tau: FuzzyTopology) -> Verdict:
     """Distinct fuzzy points separated by disjoint opens containing them.
     Two opens are disjoint exactly when their supports are, so each open is
-    reduced to the bitmask of its support."""
+    reduced to the bitmask of its support.  Separation is symmetric, so y
+    runs after x in carrier order: a pair that fails with y before x fails
+    swapped, earlier, so the first witness is the one a scan of all ordered
+    pairs finds."""
     v = tau._ints
-    carrier = tau.ambient.carrier
+    carrier = tau.ambient.carrier.elements
     heights = v.heights()
     supports = [sum(1 << i for i, g in enumerate(key) if g) for key in v.keys]
     # Distinct supports of the opens containing each fuzzy point (x, k/q).
@@ -268,9 +271,7 @@ def is_hausdorff(tau: FuzzyTopology) -> Verdict:
     for xi, x in enumerate(carrier):
         for k in heights[xi]:
             us = around[xi, k]
-            for yi, y in enumerate(carrier):
-                if y == x:
-                    continue
+            for yi, y in enumerate(carrier[xi + 1:], xi + 1):
                 for j in heights[yi]:
                     if not any(not u & w for u in us for w in around[yi, j]):
                         tp, tq = Fraction(k, v.q), Fraction(j, v.q)

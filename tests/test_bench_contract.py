@@ -4,8 +4,11 @@ even an import that its module no longer calls, makes `--trace 1` crash, so
 every listed path must resolve on the package."""
 
 import importlib
+import json
 import os
 import random
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -89,3 +92,26 @@ def test_every_span_fires_on_the_probes(tracing, package, tmp_path, monkeypatch)
     finally:
         tracer.uninstall()
     assert set(tracing.SPANS) - {span[0] for span in tracer.spans} == set()
+
+
+def _bench_spec():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in _bench_spec()["workloads"]])
+def test_traced_run_completes(workload, tmp_path):
+    """A one-second `--trace 1` run of each workload, from a copy of the
+    sources and the benchmark, exits 0, answers every request correctly and
+    reports every per-layer metric the benchmark declares."""
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_work")
+    for tree in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, tree), tmp_path / tree, ignore=skip)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seconds", "1", "--trace", "1"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"], proc.stderr[-2000:]
+    assert set(result["metrics"]) == {m["name"] for m in _bench_spec()["per_layer"]}

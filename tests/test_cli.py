@@ -737,21 +737,29 @@ class TestCommonDenominator:
         assert lines_of(out)["WITNESS_REASON"] == (
             f"{path}:{line}: common denominator of the grades exceeds 10**1000")
 
+    # Spawns the CLI, waits for it and prints its exit code and wait4 peak
+    # RSS in KiB.  On Linux a child's ru_maxrss counts its parent's RSS at
+    # spawn time, so the CLI is spawned from this small interpreter rather
+    # than from pytest, whose own RSS depends on the tests that ran before.
+    LAUNCHER = ("import os, sys; "
+                "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ); "
+                "_, status, usage = os.wait4(pid, 0); "
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
     def test_prime_denominators_stay_small_in_memory(self, tmp_path):
         """Before the bound, this file peaked at 151 MiB."""
         path, line = self.prime_file(tmp_path)
         env = dict(os.environ, PYTHONPATH=SRC)
         with open(tmp_path / "stderr", "wb") as err:
-            proc = subprocess.Popen([sys.executable, "-m", "fuzzcheck.cli", "level-set", path,
-                                     "1/2", "--format", "machine"],
-                                    env=env, stdout=subprocess.PIPE, stderr=err)
-            out = proc.stdout.read()
-            proc.stdout.close()
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 2
+            proc = subprocess.run([sys.executable, "-c", self.LAUNCHER, "-m", "fuzzcheck.cli",
+                                   "level-set", path, "1/2", "--format", "machine"],
+                                  env=env, stdout=subprocess.PIPE, stderr=err)
+        assert proc.returncode == 0
+        out, _, tail = proc.stdout.rstrip(b"\n").rpartition(b"\n")
+        code, maxrss_kib = map(int, tail.split())
+        assert code == 2
         assert f"primes.txt:{line}:".encode() in out
-        assert usage.ru_maxrss / 1024 < 80  # MiB
+        assert maxrss_kib / 1024 < 80  # MiB
 
     def test_one_large_denominator_is_still_read(self, tmp_path):
         q = 10**2000 + 1

@@ -116,17 +116,6 @@ class TestC1Check:
         rep = check_c1_diffeo(self.kink, self.GRID, seams=(0.0,))
         assert rep.ok
 
-    def test_inverse_checked(self):
-        grid = np.linspace(0.1, 1.0, 101)
-        rep = check_c1_diffeo(math.exp, grid, inverse_fn=math.log)
-        assert rep.ok
-
-    def test_unstable_inverse_detected(self):
-        # cube is a smooth bijection, but its inverse has a vertical tangent
-        cbrt = lambda s: math.copysign(abs(s) ** (1.0 / 3.0), s)
-        rep = check_c1_diffeo(lambda s: s ** 3, self.GRID, inverse_fn=cbrt)
-        assert not rep.ok and rep.reason.startswith("inverse:")
-
     def test_tiny_grid_rejected(self):
         rep = check_c1_diffeo(lambda s: s, [0.0, 1.0])
         assert not rep.ok and rep.reason == "grid too small"
@@ -153,6 +142,29 @@ class TestAtlasChecks:
     def test_shared_samples_required(self):
         with pytest.raises(ValueError):
             check_atlas(circle_phi_atlas(512), circle_psi_atlas(256))
+
+    @staticmethod
+    def line_atlas(coord, coord_inverse):
+        """Charts a (coord t) and b (the given coord) on 401 samples of
+        [-1, 1], both with membership 1: a -> b is coord, b -> a its inverse."""
+        samples = tuple(np.linspace(-1.0, 1.0, 401))
+        return Atlas((SampledChart("a", lambda t: 1.0, lambda t: t, lambda s: s),
+                      SampledChart("b", lambda t: 1.0, coord, coord_inverse)), samples)
+
+    def test_inverse_checked_as_reverse_pair(self):
+        rep = check_atlas(self.line_atlas(math.exp, math.log))
+        assert rep.transitions_ok
+        assert [(p.source_label, p.target_label) for p in rep.pairs] == [("a", "b"), ("b", "a")]
+
+    def test_unstable_inverse_detected_as_reverse_pair(self):
+        # cube is a smooth bijection, but its inverse has a vertical tangent at 0
+        cbrt = lambda s: math.copysign(abs(s) ** (1.0 / 3.0), s)
+        forward, backward = check_atlas(self.line_atlas(lambda t: t ** 3, cbrt)).pairs
+        assert (forward.source_label, forward.target_label, forward.report.ok) == ("a", "b", True)
+        assert (backward.source_label, backward.target_label) == ("b", "a")
+        assert not backward.report.ok
+        assert backward.report.reason == "derivative not stable under step halving"
+        assert backward.report.witness == pytest.approx(-0.0017, abs=1e-4)
 
 
 class TestProductAtlas:
