@@ -91,6 +91,14 @@ def _build_topology(path, args, literal=False) -> FuzzyTopology:
     return generate(ambient, generators, lattice, cap=args.cap)
 
 
+def _load_valid_group(path):
+    """The group a file holds, refused as a precondition unless it passes
+    the group axioms: every check on it assumes a group."""
+    group = load_group(path)
+    validate_group(group).require("not a group")
+    return group
+
+
 # --- command handlers -------------------------------------------------------
 
 def cmd_check_subgroup(args) -> Report:
@@ -106,8 +114,8 @@ def cmd_check_subgroup(args) -> Report:
 
 def cmd_check_homomorphism(args) -> Report:
     f = load_map(args.map)
-    gsrc = load_group(args.source_group)
-    gtgt = load_group(args.target_group)
+    gsrc = _load_valid_group(args.source_group)
+    gtgt = _load_valid_group(args.target_group)
     return _verdict_report("check-homomorphism", "group-compatible-grade-map",
                            is_fuzzy_homomorphism(f, gsrc, gtgt))
 
@@ -159,7 +167,7 @@ def cmd_check_continuity(args) -> Report:
 
 
 def cmd_check_topgroup(args) -> Report:
-    group = load_group(args.group)
+    group = _load_valid_group(args.group)
     tau = _build_topology(args.topology, args)
     return _verdict_report("check-topgroup", "fuzzy-topological-group",
                            is_fuzzy_topological_group(group, tau, cap=args.cap),
@@ -167,14 +175,15 @@ def cmd_check_topgroup(args) -> Report:
 
 
 def cmd_check_action(args) -> Report:
-    group = load_group(args.group)
+    group = _load_valid_group(args.group)
     action = load_action(args.action, group)
     return _verdict_report("check-action", "group-action-laws", verify_action(action))
 
 
 def cmd_check_invariant(args) -> Report:
-    group = load_group(args.group)
+    group = _load_valid_group(args.group)
     action = load_action(args.action, group)
+    verify_action(action).require("not an action")
     s = load_fuzzy_set(args.fuzzy_set, carrier=action.space)
     return _verdict_report("check-invariant", "action-invariant-subset",
                            is_G_invariant(action, s))
@@ -187,7 +196,7 @@ def _action_metrics(action) -> dict:
 
 
 def cmd_restrict(args) -> Report:
-    group = load_group(args.group)
+    group = _load_valid_group(args.group)
     action = load_action(args.action, group)
     if args.subgroup:
         elements = args.subgroup.split(",")
@@ -205,7 +214,7 @@ def cmd_restrict(args) -> Report:
 
 
 def cmd_quotient(args) -> Report:
-    group = load_group(args.group)
+    group = _load_valid_group(args.group)
     action = load_action(args.action, group)
     rho = load_relation(args.relation, action.space)
     quotient = quotient_action(action, rho)
@@ -236,6 +245,7 @@ def cmd_check_lie_predicate(args) -> Report:
         _, _, samples = lie.cross_product_fixture()
         if sc.dim != 3:
             raise FuzzcheckError("--samples is required for dimensions other than 3")
+    lie.validate_lie(sc).require("not a Lie algebra")
     # Looked up at call time, as perfbench/tracing.py wraps these attributes.
     check, provenance = {
         "check-lie-subalgebra": (lie.is_fuzzy_lie_subalgebra, "fuzzy-lie-subalgebra"),

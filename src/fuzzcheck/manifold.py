@@ -125,8 +125,16 @@ def transition_map(atlas: Atlas, j: int, l: int, atlas2: Optional[Atlas] = None)
     return TransitionMap(src, tgt, coords, values, seams)
 
 
-def _central(fn, x: float, h: float) -> float:
+def _central(fn, x: float, h: float):
+    """The one central difference, (fn(x + h) - fn(x - h)) / 2h, of every
+    numeric derivative here.  Along a unit direction u, fn(s) = f(p + s * u)
+    at x = 0.0 evaluates f at exactly p + h u and p - h u."""
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def _relative_error(approx, ref) -> float:
+    """max|approx - ref| / max(1, max|ref|) over the entries."""
+    return float(np.max(np.abs(approx - ref))) / max(1.0, float(np.max(np.abs(ref))))
 
 
 @dataclass
@@ -141,11 +149,10 @@ class C1Report:
 
 def _split_components(grid: np.ndarray, seams: Sequence[float]) -> list:
     """Slices of a sorted grid's connected pieces, split at declared seams
-    and at gaps much larger than the local spacing."""
-    if len(grid) == 0:
-        return []
+    and at gaps much larger than the local spacing.  Callers pass at least
+    3 points; below that they report "grid too small" themselves."""
     diffs = np.diff(grid)
-    median = float(np.median(diffs)) if len(diffs) else 0.0
+    median = float(np.median(diffs))
     cuts = [i + 1 for i, d in enumerate(diffs)
             if any(grid[i] <= seam <= grid[i + 1] for seam in seams)
             or (median > 0 and d > 10.0 * median)]
@@ -369,15 +376,15 @@ def circle_psi_atlas(n_samples: int = 1024, tol: Tolerances = Tolerances()) -> A
 
 @dataclass(frozen=True)
 class ProductChart:
+    """A membership only, for the cover check: transitions are checked
+    factor-wise on the two factor atlases."""
+
     label: str
     first: SampledChart
     second: SampledChart
 
     def membership(self, point) -> float:
         return min(self.first.membership(point[0]), self.second.membership(point[1]))
-
-    def coord(self, point):
-        return (self.first.coord(point[0]), self.second.coord(point[1]))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -472,12 +479,8 @@ def numeric_rank(fn: Callable, point, h: float = 1e-5) -> int:
     if h <= 0:
         raise ValueError("step size must be positive")
     point = np.asarray(point, dtype=float)
-    cols = []
-    for j in range(point.size):
-        e = np.zeros_like(point)
-        e[j] = h
-        cols.append((np.asarray(fn(point + e), dtype=float).ravel()
-                     - np.asarray(fn(point - e), dtype=float).ravel()) / (2.0 * h))
+    cols = [_central(lambda s: np.asarray(fn(point + s * u), dtype=float).ravel(), 0.0, h)
+            for u in np.eye(point.size)]
     jac = np.stack(cols, axis=1)
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
@@ -519,37 +522,23 @@ def gl_demo(n: int, sample_count: int = 50, seed: int = 0) -> GLDemoReport:
     max_mult = 0.0
     max_inv = 0.0
     max_orth = 0.0
+
+    def halving_residual(f):
+        return _relative_error(_central(f, 0.0, h), _central(f, 0.0, h / 2.0))
+
     for _ in range(sample_count):
         a = _random_invertible(rng, n)
         # Gradient of det vs the adjugate (cofactor) formula.
         exact = np.linalg.det(a) * np.linalg.inv(a).T
-        fd = np.zeros_like(a)
-        for i in range(n):
-            for j in range(n):
-                e = np.zeros_like(a)
-                e[i, j] = h
-                fd[i, j] = (np.linalg.det(a + e) - np.linalg.det(a - e)) / (2.0 * h)
-        denom = max(1.0, float(np.max(np.abs(exact))))
-        max_grad_err = max(max_grad_err, float(np.max(np.abs(fd - exact))) / denom)
+        fd = np.array([_central(lambda s: np.linalg.det(a + s * u), 0.0, h)
+                       for u in np.eye(n * n).reshape(n * n, n, n)]).reshape(n, n)
+        max_grad_err = max(max_grad_err, _relative_error(fd, exact))
 
         # Directional-derivative stability for multiplication and inversion.
         b = _random_invertible(rng, n)
         e = rng.uniform(-1.0, 1.0, size=(n, n))
-
-        def dirderiv(f, h_):
-            return (f(h_) - f(-h_)) / (2.0 * h_)
-
-        for f, sink in (
-            (lambda s: (a + s * e) @ b, "mult"),
-            (lambda s: np.linalg.inv(a + s * e), "inv"),
-        ):
-            d1 = dirderiv(f, h)
-            d2 = dirderiv(f, h / 2.0)
-            resid = float(np.max(np.abs(d1 - d2))) / max(1.0, float(np.max(np.abs(d2))))
-            if sink == "mult":
-                max_mult = max(max_mult, resid)
-            else:
-                max_inv = max(max_inv, resid)
+        max_mult = max(max_mult, halving_residual(lambda s: (a + s * e) @ b))
+        max_inv = max(max_inv, halving_residual(lambda s: np.linalg.inv(a + s * e)))
 
         # Orthogonal samples: QR factor, then closure under product/inverse.
         q1, _ = np.linalg.qr(_random_invertible(rng, n))

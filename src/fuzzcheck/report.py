@@ -8,7 +8,6 @@ every fail carries its witness.  Exit codes: 0 pass, 1 property violated,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -17,8 +16,6 @@ EXIT_CAP = 3
 
 
 def fmt_value(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, bool):

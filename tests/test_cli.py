@@ -336,6 +336,79 @@ class TestActionCommands:
         assert lines_of(out)["VERDICT"] == "fail"
 
 
+class TestPreconditions:
+    """A group file that is not a group, an action table that breaks the
+    action laws and constants that are not a Lie algebra are refused as a
+    precondition, except by the subcommand that reports those axioms."""
+
+    # An identity and inverses, but (aa)b = b while a(ab) = d.
+    LOOP = ("elements: e a b c d\n"
+            "e a b c d\na e c d b\nb d e a c\nc b d e a\nd c a b e\n")
+
+    @pytest.fixture
+    def loop_files(self, tmp_path):
+        ones = put(tmp_path, "ones.txt", "e 1\na 1\nb 1\nc 1\nd 1\n")
+        return {
+            "ones": ones,
+            "loop": put(tmp_path, "loop.txt", self.LOOP),
+            "trivial": put(tmp_path, "act.txt", "".join(
+                f"{g} {x} -> {x}\n" for g in "eabcd" for x in "pq")),
+            "s": put(tmp_path, "s.txt", "p 1\nq 1\n"),
+            "rho": put(tmp_path, "rho.txt", "p\nq\n"),
+            "identity": put(tmp_path, "f.txt", f"source: {ones}\ntarget: {ones}\n"
+                            + "".join(f"{x} -> {x}\n" for x in "eabcd")),
+            "indiscrete": put(tmp_path, "top.txt", f"ambient: {ones}\nq=1\n"),
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ("check-topgroup", "loop", "indiscrete"),
+        ("check-homomorphism", "identity", "loop", "loop"),
+        ("check-action", "loop", "trivial"),
+        ("check-invariant", "loop", "trivial", "s"),
+        ("restrict", "loop", "trivial", "--subgroup", "e"),
+        ("quotient", "loop", "trivial", "rho"),
+    ], ids=lambda argv: argv[0])
+    def test_non_group_is_refused(self, loop_files, argv):
+        code, out = run(*(loop_files.get(a, a) for a in argv), "--format", "machine")
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["PROVENANCE"] == "precondition"
+        assert fields["WITNESS_REASON"] == "not a group: associativity fails at ('a','a','b')"
+        assert fields["WITNESS_AT"] == "(a,a,b)"
+
+    def test_check_subgroup_keeps_its_group_axioms_verdict(self, loop_files):
+        code, out = run("check-subgroup", loop_files["loop"], loop_files["ones"],
+                        "--format", "machine")
+        assert code == 1
+        assert lines_of(out)["PROVENANCE"] == "group-axioms"
+
+    def test_non_action_is_refused_by_check_invariant(self, tmp_path):
+        z2 = put(tmp_path, "z2.txt", "elements: 0 1\n0 1\n1 0\n")
+        collapse = put(tmp_path, "act.txt", "0 p -> p\n0 q -> p\n1 p -> p\n1 q -> p\n")
+        s = put(tmp_path, "s.txt", "p 1\nq 1\n")
+        code, out = run("check-invariant", z2, collapse, s, "--format", "machine")
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["PROVENANCE"] == "precondition"
+        assert fields["WITNESS_REASON"] == "not an action: support point 'q' not reached"
+        code, out = run("check-action", z2, collapse, "--format", "machine")
+        assert code == 1
+        assert lines_of(out)["PROVENANCE"] == "group-action-laws"
+
+    @pytest.mark.parametrize("command", ["check-lie-subalgebra", "check-lie-ideal"])
+    def test_non_lie_constants_are_refused(self, tmp_path, command):
+        sc = put(tmp_path, "sc.txt", "dim 3\n1 2 3 1\n")
+        mu = put(tmp_path, "mu.txt", "default 1\n")
+        code, out = run(command, sc, mu, "--format", "machine")
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["PROVENANCE"] == "precondition"
+        assert fields["WITNESS_REASON"] == "not a Lie algebra: antisymmetry fails at c[0][1][2]"
+        code, out = run("check-lie", sc, "--format", "machine")
+        assert code == 1
+        assert lines_of(out)["PROVENANCE"] == "lie-algebra-axioms"
+
+
 class TestHomomorphismCommand:
     def test_mod_two(self, tmp_path, z4):
         z2 = put(tmp_path, "z2.txt", "elements: 0 1\n0 1\n1 0\n")
@@ -517,6 +590,12 @@ class TestToleranceValues:
         assert code == 2
         assert lines_of(out)["WITNESS_REASON"] == (
             f"tolerance {name} must be finite and >= 0 (> 0 for h0 and h_min), got {value}")
+
+    def test_item_without_equals_sign_is_two(self):
+        code, out = run("demo-circle", "--samples-per-chart", "64",
+                        "--tolerance", "h0", "--format", "machine")
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"] == "--tolerance expects name=value, got 'h0'"
 
     def test_rank_rtol_is_no_tolerance(self):
         code, _ = run("demo-circle", "--samples-per-chart", "64",
