@@ -187,8 +187,9 @@ class FiniteAction:
 
 
 def verify_action(action: FiniteAction) -> Verdict:
-    """Composition law for every (g,h,x) plus surjectivity onto the support
-    of the space's ambient fuzzy set."""
+    """Composition law for every (g,h,x), surjectivity onto the support of
+    the space's ambient fuzzy set, then e.x = x, which the first two force
+    on an all-ones ambient: e.(g.x) = (eg).x = g.x."""
     stray = [y for row in action.table for y in row if y not in action.space]
     if stray:
         return Verdict.failed(f"action leaves the space at {stray[0]!r}", witness=stray[0])
@@ -202,6 +203,10 @@ def verify_action(action: FiniteAction) -> Verdict:
     for y, n in enumerate(action.ambient.nums):
         if n and y not in reached:
             return Verdict.failed(f"support point {points[y]!r} not reached", witness=points[y])
+    e = action.group.carrier.index(action.group.identity)
+    moved = next((x for x, y in enumerate(act[e]) if y != x), None)
+    if moved is not None:
+        return Verdict.failed(f"identity law fails at {points[moved]!r}", witness=points[moved])
     return Verdict.passed()
 
 

@@ -306,12 +306,12 @@ def point_in(p: FuzzyPoint, mu: FuzzySet) -> bool:
 
 def is_normal_element(lam: FuzzySet, mu: FuzzySet, a) -> Verdict:
     """lam(a) >= mu(y) for every y; witness is the first dominating y."""
-    _aligned([lam, mu])  # refuses sets on different carriers
-    ga = lam(a)
-    for y, gy in mu.items():
-        if ga < gy:
+    carrier, den, (nl, nm) = _aligned([lam, mu])
+    na = nl[carrier.index(a)]
+    for y, n in zip(carrier.elements, nm):
+        if na < n:
             return Verdict.failed(
-                f"lam({a!r})={format_grade(ga)} < mu({y!r})={format_grade(gy)}",
-                witness=y,
+                f"lam({a!r})={format_grade(Fraction(na, den))} "
+                f"< mu({y!r})={format_grade(Fraction(n, den))}", witness=y
             )
     return Verdict.passed()

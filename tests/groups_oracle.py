@@ -70,8 +70,8 @@ def level_subgroup_oracle(mu: FuzzySet, group: FiniteGroup) -> bool:
 
 
 def verify_action(action: FiniteAction) -> Verdict:
-    """Composition law for every (g,h,x) plus surjectivity onto the support
-    of the space's ambient fuzzy set."""
+    """Composition law for every (g,h,x), surjectivity onto the support of
+    the space's ambient fuzzy set, then e.x = x for every x."""
     for row in action.table:
         for y in row:
             if y not in action.space:
@@ -89,6 +89,9 @@ def verify_action(action: FiniteAction) -> Verdict:
     for y in action.ambient.support():
         if y not in reached:
             return Verdict.failed(f"support point {y!r} not reached", witness=y)
+    for x in action.space:
+        if action.act(action.group.identity, x) != x:
+            return Verdict.failed(f"identity law fails at {x!r}", witness=x)
     return Verdict.passed()
 
 

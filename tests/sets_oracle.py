@@ -80,3 +80,14 @@ def is_subset(a: FuzzySet, b: FuzzySet) -> Verdict:
 def complement_in(ambient: FuzzySet, sub: FuzzySet) -> FuzzySet:
     is_subset(sub, ambient).require("subset exceeds ambient")
     return FuzzySet(ambient.carrier, tuple(ga - gs for ga, gs in zip(ambient.grades, sub.grades)))
+
+
+def is_normal_element(lam: FuzzySet, mu: FuzzySet, a) -> Verdict:
+    _common_carrier([lam, mu])
+    ga = lam(a)
+    for y, gy in zip(mu.carrier, mu.grades):
+        if ga < gy:
+            return Verdict.failed(
+                f"lam({a!r})={format_grade(ga)} < mu({y!r})={format_grade(gy)}", witness=y
+            )
+    return Verdict.passed()

@@ -382,16 +382,33 @@ class TestPreconditions:
         assert code == 1
         assert lines_of(out)["PROVENANCE"] == "group-axioms"
 
-    def test_non_action_is_refused_by_check_invariant(self, tmp_path):
-        z2 = put(tmp_path, "z2.txt", "elements: 0 1\n0 1\n1 0\n")
-        collapse = put(tmp_path, "act.txt", "0 p -> p\n0 q -> p\n1 p -> p\n1 q -> p\n")
-        s = put(tmp_path, "s.txt", "p 1\nq 1\n")
-        code, out = run("check-invariant", z2, collapse, s, "--format", "machine")
+    @pytest.fixture
+    def collapse_files(self, tmp_path):
+        """Z2 acting on {p, q} by every g.x = p, which misses q."""
+        return {
+            "z2": put(tmp_path, "z2.txt", "elements: 0 1\n0 1\n1 0\n"),
+            "collapse": put(tmp_path, "act.txt", "0 p -> p\n0 q -> p\n1 p -> p\n1 q -> p\n"),
+            "s": put(tmp_path, "s.txt", "p 1\nq 1\n"),
+            "p_only": put(tmp_path, "p.txt", "p 1\nq 0\n"),
+            "one_class": put(tmp_path, "rho.txt", "p q\n"),
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ("check-invariant", "z2", "collapse", "s"),
+        ("restrict", "z2", "collapse", "--subgroup", "0"),
+        ("restrict", "z2", "collapse", "--invariant", "p_only"),
+        ("quotient", "z2", "collapse", "one_class"),
+    ], ids=["check-invariant", "restrict-subgroup", "restrict-invariant", "quotient"])
+    def test_non_action_is_refused(self, collapse_files, argv):
+        code, out = run(*(collapse_files.get(a, a) for a in argv), "--format", "machine")
         assert code == 1
         fields = lines_of(out)
         assert fields["PROVENANCE"] == "precondition"
         assert fields["WITNESS_REASON"] == "not an action: support point 'q' not reached"
-        code, out = run("check-action", z2, collapse, "--format", "machine")
+
+    def test_check_action_keeps_its_action_laws_verdict(self, collapse_files):
+        code, out = run("check-action", collapse_files["z2"], collapse_files["collapse"],
+                        "--format", "machine")
         assert code == 1
         assert lines_of(out)["PROVENANCE"] == "group-action-laws"
 

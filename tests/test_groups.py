@@ -145,6 +145,15 @@ class TestActions:
         v = verify_action(bad)
         assert not v.ok and v.witness == (1, 1, "p")
 
+    def test_identity_must_fix_points_off_the_support(self):
+        """Every g.x = p keeps the composition law and reaches the support
+        {p}, but e.q = p."""
+        z2 = cyclic_group(2)
+        space = Carrier(("p", "q"))
+        collapse = FiniteAction(z2, space, FuzzySet(space, (1, 0)), (("p", "p"), ("p", "p")))
+        v = verify_action(collapse)
+        assert (v.ok, v.reason, v.witness) == (False, "identity law fails at 'q'", "q")
+
     def test_constant_sets_invariant(self):
         action = s3_natural_action()
         assert is_G_invariant(action, FuzzySet.constant(action.space, F(1, 3))).ok

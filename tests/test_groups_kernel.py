@@ -5,7 +5,7 @@ witnesses must be equal, and so must the actions built."""
 import time
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import groups_oracle as oracle
 from fuzzcheck.errors import DominationError
@@ -16,6 +16,7 @@ from fuzzcheck.groups import (
     catalog,
     check_subgroup,
     coset_action,
+    cyclic_group,
     dihedral_group,
     is_fuzzy_subgroup,
     is_G_invariant,
@@ -189,7 +190,8 @@ def components(action) -> list:
 def actions(draw, stray=True):
     """A catalog group acting on the cosets of one or two subgroups side by
     side, with points in a drawn order and a few entries replaced (breaking
-    the composition law), now and then by a point outside the space."""
+    the composition law), now and then by a point outside the space, or
+    now and then collapsed onto one point."""
     group = draw(st.sampled_from(GROUPS))
     space, rows = [], [[] for _ in group.carrier]
     for tag in range(draw(st.integers(1, 2))):
@@ -209,6 +211,11 @@ def actions(draw, stray=True):
         rows[g][x] = "out"
     grades = draw(st.lists(st.sampled_from([F(0), F(1, 2), F(1)]),
                            min_size=len(space), max_size=len(space)))
+    if draw(st.integers(0, 9)) == 0:
+        # Every g sends every point to the ambient's one support point: the
+        # composition law holds and the support is reached, but e moves the rest.
+        rows = [[space[0]] * len(space) for _ in rows]
+        grades = [F(1)] + [F(0)] * (len(space) - 1)
     carrier = Carrier(tuple(space))
     return FiniteAction(group, carrier, FuzzySet(carrier, tuple(grades)), rows)
 
@@ -242,10 +249,37 @@ def relations(draw, action):
     return EquivalenceRelation([draw(st.permutations(c)) for c in classes if c])
 
 
+# Every g.x = p, with p alone in the ambient's support: only e.q = p fails.
+PQ = Carrier(("p", "q"))
+COLLAPSE = FiniteAction(cyclic_group(2), PQ, FuzzySet(PQ, (1, 0)), (("p", "p"), ("p", "p")))
+
+
 @settings(max_examples=200, deadline=None)
 @given(actions())
+@example(COLLAPSE)
 def test_verify_action_matches_label_loop(action):
     assert same(verify_action(action), oracle.verify_action(action))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_what_is_built_from_an_action_is_an_action(data):
+    """Whatever restrict_to_subgroup, restrict_to_invariant, quotient_action
+    and coset_action build from an action that passes verify_action, when
+    they do not raise, passes too; so a caller that has checked the action
+    need not check what it builds."""
+    action = data.draw(actions(stray=False))
+    assume(verify_action(action).ok)
+    builds = [
+        lambda: restrict_to_subgroup(action, data.draw(subsets(action.group))),
+        lambda: restrict_to_invariant(action, data.draw(fuzzy_subsets(action))),
+        lambda: quotient_action(action, data.draw(relations(action))),
+        lambda: coset_action(action.group, data.draw(subsets(action.group))),
+    ]
+    for build in builds:
+        built = outcome(build)
+        if isinstance(built, FiniteAction):
+            assert verify_action(built).ok
 
 
 @settings(max_examples=200, deadline=None)

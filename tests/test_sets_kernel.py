@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import maps_oracle
 import sets_oracle as oracle
-from fuzzcheck.errors import DominationError
+from fuzzcheck.errors import CarrierMismatchError, DominationError
 from fuzzcheck.maps import ProperFunction, image, preimage
 from fuzzcheck.sets import (
     Carrier,
     FuzzySet,
     complement_in,
     intersection,
+    is_normal_element,
     is_subset,
     level_set,
     product,
@@ -153,3 +154,25 @@ def test_out_of_range_grades_raise_the_oracle_text(data):
         assert error_text(FuzzySet, carrier, values) == str(exc)
     else:
         assert FuzzySet(carrier, values).grades == expected
+
+
+def verdict_or_error(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (CarrierMismatchError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normal_element_matches_the_fraction_oracle(data):
+    """Verdicts, reasons and witnesses agree, and so do the errors for a set
+    on another carrier and for an element outside the carrier."""
+    carrier = carriers(data.draw(st.integers(1, 4)))
+    grades = data.draw(st.sampled_from([GRADES, POOL]))
+    lam = data.draw(sets_on(carrier, grades))
+    mu = data.draw(sets_on(data.draw(st.sampled_from(
+        [carrier, carrier, carriers(data.draw(st.integers(1, 4)))])), grades))
+    a = data.draw(st.sampled_from(carrier.elements + ("elsewhere",)))
+    assert verdict_or_error(is_normal_element, lam, mu, a) == verdict_or_error(
+        oracle.is_normal_element, lam, mu, a)
