@@ -301,7 +301,8 @@ def point_in(p: FuzzyPoint, mu: FuzzySet) -> bool:
 
     Inclusive inequality by design, so x at its own grade lies in mu.
     """
-    return p.height <= mu(p.base)
+    h = p.height
+    return h.numerator * mu.den <= mu.nums[mu.carrier.index(p.base)] * h.denominator
 
 
 def is_normal_element(lam: FuzzySet, mu: FuzzySet, a) -> Verdict:

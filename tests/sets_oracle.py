@@ -82,6 +82,10 @@ def complement_in(ambient: FuzzySet, sub: FuzzySet) -> FuzzySet:
     return FuzzySet(ambient.carrier, tuple(ga - gs for ga, gs in zip(ambient.grades, sub.grades)))
 
 
+def point_in(p, mu: FuzzySet) -> bool:
+    return p.height <= mu(p.base)
+
+
 def is_normal_element(lam: FuzzySet, mu: FuzzySet, a) -> Verdict:
     _common_carrier([lam, mu])
     ga = lam(a)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import fuzzcheck
 from fuzzcheck.cli import build_parser, execute
+from fuzzcheck.manifold import Tolerances
 from fuzzcheck.sets import MAX_COMMON_DENOMINATOR
 
 Z4_GROUP = (
@@ -160,6 +162,13 @@ class TestTopologyCommands:
         code, out = run("check-topology", topo, "--literal", "--format", "machine")
         assert code == 1
         assert "cut" in lines_of(out)["WITNESS_AT"]
+
+    def test_ambient_off_the_lattice_is_two(self, tmp_path):
+        amb = put(tmp_path, "amb.txt", "a 1/2\nb 1\n")
+        topo = put(tmp_path, "topo.txt", f"ambient: {amb}\nq=2\n")
+        code, out = run("check-topology", topo, "--lattice-q", "3", "--format", "machine")
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"] == "ambient grades must lie in the lattice"
 
     def test_literal_open_above_ambient_is_refused_like_generated(self, tmp_path):
         amb = put(tmp_path, "amb.txt", "a 1/2\n")
@@ -318,6 +327,20 @@ class TestActionCommands:
         with pytest.raises(SystemExit) as err:
             run("restrict", z4, act)
         assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: fuzzcheck restrict ")
+
+    def test_restrict_takes_one_mode_only(self, tmp_path, z4, capsys):
+        act = put(tmp_path, "act.txt", Z4_TRANSLATION)
+        with pytest.raises(SystemExit) as err:
+            run("restrict", z4, act, "--subgroup", "0", "--invariant", act)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: fuzzcheck restrict ")
+
+    def test_restrict_to_the_empty_label_is_refutation(self, tmp_path, z4):
+        act = put(tmp_path, "act.txt", Z4_TRANSLATION)
+        code, out = run("restrict", z4, act, "--subgroup", "", "--format", "machine")
+        assert code == 1
+        assert lines_of(out)["WITNESS_REASON"] == "not a subgroup: '' is not a group element"
 
     def test_quotient(self, tmp_path, z4):
         act = put(tmp_path, "act.txt", Z4_TRANSLATION)
@@ -424,6 +447,29 @@ class TestPreconditions:
         code, out = run("check-lie", sc, "--format", "machine")
         assert code == 1
         assert lines_of(out)["PROVENANCE"] == "lie-algebra-axioms"
+
+    @pytest.mark.parametrize("command", ["check-lie-subalgebra", "check-lie-ideal"])
+    @pytest.mark.parametrize("classifier, extra", [
+        ("x1 = 0 -> 1\n", []),
+        ("default 1\n", ["--samples", "missing.txt"]),
+    ], ids=["no-default", "missing-samples"])
+    def test_non_lie_constants_are_refused_before_the_next_file(
+            self, tmp_path, command, classifier, extra):
+        sc = put(tmp_path, "sc.txt", "dim 3\n1 2 3 1\n")
+        mu = put(tmp_path, "mu.txt", classifier)
+        code, out = run(command, sc, mu, *extra, "--format", "machine")
+        assert code == 1
+        fields = lines_of(out)
+        assert fields["PROVENANCE"] == "precondition"
+        assert fields["WITNESS_REASON"] == "not a Lie algebra: antisymmetry fails at c[0][1][2]"
+
+    def test_samples_rule_comes_before_the_lie_axioms(self, tmp_path):
+        sc = put(tmp_path, "sc.txt", "dim 4\n1 2 3 1\n")
+        mu = put(tmp_path, "mu.txt", "default 1\n")
+        code, out = run("check-lie-ideal", sc, mu, "--format", "machine")
+        assert code == 2
+        assert (lines_of(out)["WITNESS_REASON"]
+                == "--samples is required for dimensions other than 3")
 
 
 class TestHomomorphismCommand:
@@ -586,6 +632,7 @@ class TestToleranceValues:
             f"{i/1000 if i < 500 else 3 * i/1000 - 1} {i/1000} 1\n" for i in range(1000)))
         code, out = run("check-atlas", c0, c1, "--format", "machine")
         assert code == 1 and "jumps" in lines_of(out)["WITNESS_REASON"]
+        assert run("check-atlas", c0, c1, "--tolerance", "lipschitz_cap=1e4")[0] == 0
         code, out = run("check-atlas", c0, c1, "--tolerance", "lipschitz_cap=nan",
                         "--format", "machine")
         assert code == 2
@@ -613,6 +660,28 @@ class TestToleranceValues:
                         "--tolerance", "h0", "--format", "machine")
         assert code == 2
         assert lines_of(out)["WITNESS_REASON"] == "--tolerance expects name=value, got 'h0'"
+
+    @pytest.mark.parametrize("name", ["eps_inv", "eps_deriv", "h0", "h_min",
+                                      "edge_margin_frac", "seam_margin_factor"])
+    def test_check_atlas_refuses_what_it_does_not_read(self, tmp_path, name):
+        """A tabulated atlas has no formulas to differentiate."""
+        c = put(tmp_path, "c.txt", "0.0 1 1\n0.1 2 1\n0.2 3 1\n0.3 4 1\n")
+        code, out = run("check-atlas", c, c, "--tolerance", f"{name}=0.5",
+                        "--format", "machine")
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"] == (
+            f"unknown tolerance {name!r}; known: ['cover_eps', 'lipschitz_cap']")
+
+    def test_check_atlas_reads_cover_eps(self, tmp_path):
+        half = put(tmp_path, "half.txt", "".join(f"{i/100} {i/100} 0.5\n" for i in range(100)))
+        assert run("check-atlas", half, half)[0] == 1
+        assert run("check-atlas", half, half, "--tolerance", "cover_eps=0.5")[0] == 0
+
+    @pytest.mark.parametrize("field", dataclasses.fields(Tolerances), ids=lambda f: f.name)
+    def test_demo_circle_takes_every_tolerance(self, field):
+        plain = run("demo-circle", "--samples-per-chart", "64", "--format", "machine")
+        assert run("demo-circle", "--samples-per-chart", "64", "--format", "machine",
+                   "--tolerance", f"{field.name}={field.default}") == plain
 
     def test_rank_rtol_is_no_tolerance(self):
         code, _ = run("demo-circle", "--samples-per-chart", "64",

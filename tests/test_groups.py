@@ -262,3 +262,47 @@ class TestSubgroupMachinery:
         assert all(z2z2.op(x, x) == z2z2.identity for x in z2z2.carrier)
         d3 = dihedral_group(3)
         assert len(d3) == 6 and validate_group(d3).ok
+
+
+class TestGuards:
+    """Each malformed construction raises its own type and message."""
+
+    def raises(self, kind, message, fn, *args):
+        with pytest.raises(kind) as err:
+            fn(*args)
+        assert err.value.args[0] == message
+
+    def test_non_square_table(self):
+        self.raises(ValueError, "Cayley table must be square and match the element list",
+                    FiniteGroup.from_table, (0, 1), ((0, 1), (1,)))
+
+    def test_stray_table_entry(self):
+        self.raises(ValueError, "Cayley entry 2 is not an element",
+                    FiniteGroup.from_table, (0, 1), ((0, 1), (1, 2)))
+
+    def test_ambient_on_another_carrier(self):
+        space = Carrier(("p", "q"))
+        self.raises(CarrierMismatchError, "ambient fuzzy set must live on the action space",
+                    FiniteAction, cyclic_group(2), space, FuzzySet.ones(Carrier(("p", "r"))),
+                    (("p", "q"), ("q", "p")))
+
+    def test_invariant_candidate_on_another_carrier(self):
+        self.raises(CarrierMismatchError, "fuzzy subset must live on the action space",
+                    is_G_invariant, s3_natural_action(), FuzzySet.ones(Carrier(("p",))))
+
+    def test_empty_class(self):
+        self.raises(ValueError, "empty equivalence class", EquivalenceRelation, (("p",), ()))
+
+    def test_element_in_two_classes(self):
+        self.raises(ValueError, "element 'p' in two classes",
+                    EquivalenceRelation, (("p", "q"), ("p",)))
+
+    def test_class_of_unknown_element(self):
+        self.raises(KeyError, "'r' not in any class",
+                    EquivalenceRelation((("p", "q"),)).class_of, "r")
+
+    def test_quotient_by_classes_that_miss_a_point(self):
+        z4 = cyclic_group(4)
+        action = FiniteAction.from_function(z4, z4.carrier, z4.op)
+        self.raises(ValueError, "relation classes must partition the action space",
+                    quotient_action, action, EquivalenceRelation(((0, 2), (1,))))

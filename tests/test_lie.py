@@ -184,3 +184,9 @@ class TestSubalgebraAndIdeal:
         mu = MembershipClassifier(3, (), F(1))
         with pytest.raises(ValueError):
             is_fuzzy_lie_subalgebra(mu, sc, SampleSet(((0, 0),), ()))
+
+
+def test_entry_index_out_of_range():
+    with pytest.raises(ValueError) as err:
+        StructureConstants.from_entries(2, {(0, 1, 2): 1})
+    assert err.value.args[0] == "index 2 out of range for dim 2"

@@ -231,6 +231,9 @@ class TestNumericRank:
         fn = lambda v: np.array([v[0] + v[1], 2.0 * (v[0] + v[1])])
         assert numeric_rank(fn, np.array([0.3, -0.2])) == 1
 
+    def test_zero_jacobian_rank_zero(self):
+        assert numeric_rank(lambda v: np.zeros(2), np.array([0.3, -0.2, 0.1])) == 0
+
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             numeric_rank(lambda v: v, np.zeros(2), h=0.0)

@@ -184,3 +184,32 @@ def test_exhaustive_galois_small():
             assert is_subset(a, preimage(f, image(f, a))).ok
             b = FuzzySet(tgt_c, gs)
             assert is_subset(image(f, preimage(f, b)), b).ok
+
+
+class TestGuards:
+    """Each mismatched input raises its own type and message."""
+
+    def raises(self, kind, message, fn, *args):
+        with pytest.raises(kind) as err:
+            fn(*args)
+        assert err.value.args[0] == message
+
+    def test_map_undefined_at_a_point(self):
+        self.raises(ValueError, "map not defined at 'x3'", ProperFunction.from_dict,
+                    FuzzySet.ones(XY), FuzzySet.ones(YZ), {"x1": "y1", "x2": "y2"})
+
+    def test_preimage_of_a_set_on_another_carrier(self):
+        self.raises(CarrierMismatchError, "B must live on the target carrier",
+                    preimage, COLLAPSE, FuzzySet.ones(XY))
+
+    @pytest.mark.parametrize("groups, message", [
+        ((2, 2), "source carrier is not the source group"),
+        ((4, 4), "target carrier is not the target group"),
+    ])
+    def test_homomorphism_carriers_must_be_the_groups(self, groups, message):
+        z4, z2 = cyclic_group(4), cyclic_group(2)
+        f = ProperFunction.from_dict(
+            FuzzySet.ones(z4.carrier), FuzzySet.ones(z2.carrier),
+            {x: x % 2 for x in z4.carrier})
+        self.raises(CarrierMismatchError, message,
+                    is_fuzzy_homomorphism, f, *map(cyclic_group, groups))

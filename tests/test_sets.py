@@ -9,6 +9,7 @@ from fuzzcheck.sets import (
     FuzzyPoint,
     FuzzySet,
     Verdict,
+    as_grade,
     complement_in,
     format_grade,
     intersection,
@@ -227,3 +228,15 @@ class TestCarrier:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Carrier(())
+
+
+class TestGuards:
+    def test_grade_out_of_range(self):
+        with pytest.raises(ValueError) as err:
+            as_grade(F(3, 2))
+        assert err.value.args[0] == "grade outside [0,1]: Fraction(3, 2)"
+
+    def test_union_of_no_sets(self):
+        with pytest.raises(ValueError) as err:
+            union([])
+        assert err.value.args[0] == "need at least one fuzzy set"

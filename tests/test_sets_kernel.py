@@ -16,12 +16,14 @@ from fuzzcheck.errors import CarrierMismatchError, DominationError
 from fuzzcheck.maps import ProperFunction, image, preimage
 from fuzzcheck.sets import (
     Carrier,
+    FuzzyPoint,
     FuzzySet,
     complement_in,
     intersection,
     is_normal_element,
     is_subset,
     level_set,
+    point_in,
     product,
     union,
 )
@@ -176,3 +178,17 @@ def test_normal_element_matches_the_fraction_oracle(data):
     a = data.draw(st.sampled_from(carrier.elements + ("elsewhere",)))
     assert verdict_or_error(is_normal_element, lam, mu, a) == verdict_or_error(
         oracle.is_normal_element, lam, mu, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_in_matches_the_fraction_oracle(data):
+    """Membership agrees, at a height equal to the base's grade too, and so
+    does the KeyError for a base outside the carrier."""
+    carrier = carriers(data.draw(st.integers(1, 4)))
+    grades = data.draw(st.sampled_from([GRADES, POOL]))
+    mu = data.draw(sets_on(carrier, grades))
+    base = data.draw(st.sampled_from(carrier.elements + ("elsewhere",)))
+    height = data.draw(st.one_of(grades, st.sampled_from(mu.grades)).filter(lambda g: F(g) > 0))
+    p = FuzzyPoint(base, height)
+    assert verdict_or_error(point_in, p, mu) == verdict_or_error(oracle.point_in, p, mu)

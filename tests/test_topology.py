@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fuzzcheck.errors import DominationError, ResourceCapError
+from fuzzcheck.errors import CarrierMismatchError, DominationError, ResourceCapError
 from fuzzcheck.maps import ProperFunction, preimage
 from fuzzcheck.sets import Carrier, FuzzySet
 from fuzzcheck.topology import (
@@ -246,3 +246,30 @@ class TestSeparation:
             tau = random_topology(rng, max_carrier=3, max_q=2)
             if is_hausdorff(tau).ok:
                 assert is_T1(tau).ok
+
+
+class TestGuards:
+    """Each mismatched input raises its own type and message."""
+
+    def raises(self, kind, message, fn, *args):
+        with pytest.raises(kind) as err:
+            fn(*args)
+        assert err.value.args[0] == message
+
+    def test_open_on_another_carrier(self):
+        tau = FuzzyTopology(FuzzySet.ones(AB), frozenset({FuzzySet.ones(Carrier(("a", "c")))}), L2)
+        self.raises(CarrierMismatchError, "an open lives on another carrier than the ambient set",
+                    verify_axioms, tau)
+
+    def test_ambient_off_the_lattice(self):
+        self.raises(ValueError, "ambient grades must lie in the lattice",
+                    generate, fs(AB, F(1, 2), 1), [], GradeLattice(3))
+
+    def test_map_ends_must_be_the_ambients(self):
+        tau = generate(FuzzySet.ones(AB), [], L2)
+        half = generate(fs(AB, F(1, 2), 1), [], L2)
+        ident = ProperFunction(tau.ambient, tau.ambient, AB.elements)
+        self.raises(CarrierMismatchError, "map source must be the source topology's ambient set",
+                    check_map, ident, half, tau)
+        self.raises(CarrierMismatchError, "map target must be the target topology's ambient set",
+                    check_map, ident, tau, half)
