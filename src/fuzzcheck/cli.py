@@ -35,7 +35,7 @@ from .parsers import (
     load_topology,
 )
 from .report import EXIT_CAP, EXIT_USAGE, Report, fmt_value
-from .sets import level_set, parse_grade
+from .sets import Verdict, level_set, parse_grade
 from .topology import (
     DEFAULT_CLOSURE_CAP,
     FuzzyTopology,
@@ -466,9 +466,8 @@ def execute(argv=None) -> int:
                                 witness={"reason": str(exc)}).render(args.format))
         return EXIT_CAP
     except DominationError as exc:
-        # Violated precondition with a concrete witness: a refutation, not bad input.
-        rep = Report(args.command, "fail", "precondition",
-                     witness={"reason": str(exc), "at": exc.witness})
+        # Violated precondition: a refutation, not bad input.
+        rep = _verdict_report(args.command, "precondition", Verdict.failed(str(exc), exc.witness))
         sys.stdout.write(rep.render(args.format))
         return rep.exit_code
     except (ParseError, FuzzcheckError, OSError, ValueError) as exc:

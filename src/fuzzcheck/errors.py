@@ -10,7 +10,7 @@ class CarrierMismatchError(FuzzcheckError):
 
 
 class DominationError(FuzzcheckError):
-    """A fuzzy set exceeds the one it must lie under; carries the witness."""
+    """Any violated precondition; carries its witness, if it has one."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -23,24 +23,19 @@ from .topology import DEFAULT_CLOSURE_CAP, FuzzyTopology, check_map, product_top
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Element list, Cayley table, identity and inverse map."""
+    """Element list and Cayley table; identity and inverses are read off it."""
 
     carrier: Carrier
     table: tuple  # table[i][j] = carrier.elements[i] * carrier.elements[j]
-    identity: object
-    inverses: tuple  # aligned with carrier order
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-        object.__setattr__(self, "inverses", tuple(self.inverses))
 
     @classmethod
     def from_table(cls, elements, rows) -> "FiniteGroup":
-        """Build from a Cayley table, deriving identity and inverses.
-
-        Raises ValueError when no identity or some inverse is missing; full
-        axiom checking is validate_group's job.
-        """
+        """Build from an element list and a Cayley table.  Raises ValueError
+        when the list is empty or repeats a label, the table is not square or
+        an entry is not an element."""
         carrier = Carrier(tuple(elements))
         elems = carrier.elements
         rows = tuple(tuple(row) for row in rows)
@@ -49,23 +44,27 @@ class FiniteGroup:
         stray = [v for row in rows for v in row if v not in carrier]
         if stray:
             raise ValueError(f"Cayley entry {stray[0]!r} is not an element")
-        columns = tuple(zip(*rows))
-        identity = next((e for e, row, col in zip(elems, rows, columns)
-                         if row == elems == col), None)
-        if identity is None:
-            raise ValueError("table has no identity element")
-        inverses = []
-        for x, row, col in zip(elems, rows, columns):
-            inv = next((y for y, a, b in zip(elems, row, col) if a == b == identity), None)
-            if inv is None:
-                raise ValueError(f"element {x!r} has no inverse")
-            inverses.append(inv)
-        return cls(carrier, rows, identity, tuple(inverses))
+        return cls(carrier, rows)
 
     @cached_property
     def _ints(self) -> tuple:
         """The Cayley table on element indices; KeyError on a stray label."""
         return tuple(tuple(map(self.carrier.index, row)) for row in self.table)
+
+    @cached_property
+    def identity(self):
+        """The element whose row and column are the element list, or None."""
+        elems = self.carrier.elements
+        return next((e for e, row, col in zip(elems, self.table, zip(*self.table))
+                     if row == elems == col), None)
+
+    @cached_property
+    def inverses(self) -> tuple:
+        """Per element, in carrier order, the y with xy = yx = identity, or
+        None where there is none."""
+        e = self.identity
+        return tuple(next((y for y, a, b in zip(self.carrier, row, col) if a == b == e), None)
+                     for row, col in zip(self.table, zip(*self.table)))
 
     @cached_property
     def _inv(self) -> tuple:
@@ -98,19 +97,17 @@ def _composition_failure(mul, act):
 
 
 def validate_group(group: FiniteGroup) -> Verdict:
-    """Exhaustive closure, associativity, identity and inverse checks."""
+    """Closure, an identity, an inverse for each element, associativity."""
     elems = group.carrier.elements
     stray = [v for row in group.table for v in row if v not in group.carrier]
     if stray:
         return Verdict.failed(f"product {stray[0]!r} not an element", witness=stray[0])
-    mul, inv = group._ints, group._inv
-    e = group.carrier.index(group.identity)
-    for x, label in enumerate(elems):
-        if mul[e][x] != x or mul[x][e] != x:
-            return Verdict.failed(f"identity law fails at {label!r}", witness=label)
-        if mul[x][inv[x]] != e or mul[inv[x]][x] != e:
-            return Verdict.failed(f"inverse law fails at {label!r}", witness=label)
-    bad = _composition_failure(mul, mul)
+    if group.identity is None:
+        return Verdict.failed("table has no identity element")
+    lost = next((x for x, y in enumerate(group.inverses) if y is None), None)
+    if lost is not None:
+        return Verdict.failed(f"element {elems[lost]!r} has no inverse", witness=elems[lost])
+    bad = _composition_failure(group._ints, group._ints)
     if bad is None:
         return Verdict.passed()
     w = tuple(elems[i] for i in bad)
@@ -257,12 +254,9 @@ def check_subgroup(group: FiniteGroup, elements) -> Verdict:
 def subgroup_of(group: FiniteGroup, elements) -> FiniteGroup:
     subset = set(elements)
     members = [i for i, x in enumerate(group.carrier) if x in subset]
-    elems, mul, inv = group.carrier.elements, group._ints, group._inv
-    return FiniteGroup(
-        Carrier(tuple(elems[a] for a in members)),
-        tuple(tuple(elems[mul[a][b]] for b in members) for a in members),
-        group.identity, tuple(elems[inv[a]] for a in members),
-    )
+    elems, mul = group.carrier.elements, group._ints
+    return FiniteGroup(Carrier(tuple(elems[a] for a in members)),
+                       tuple(tuple(elems[mul[a][b]] for b in members) for a in members))
 
 
 def restrict_to_subgroup(action: FiniteAction, elements) -> FiniteAction:

@@ -162,6 +162,9 @@ def load_group(path) -> FiniteGroup:
             if not elements:
                 raise ParseError(path, no, "empty element list")
             known = set(elements)
+            if len(known) < len(elements):
+                dup = next(x for i, x in enumerate(elements) if x in elements[:i])
+                raise ParseError(path, no, f"duplicate element {dup!r}")
             continue
         if elements is None:
             raise ParseError(path, no, "expected 'elements:' line first")
@@ -178,7 +181,7 @@ def load_group(path) -> FiniteGroup:
         raise ParseError(path, 1, "missing 'elements:' line")
     if len(rows) != len(elements):
         raise ParseError(path, 1, f"expected {len(elements)} Cayley rows, got {len(rows)}")
-    return _parse(path, 1, FiniteGroup.from_table, elements, rows)
+    return FiniteGroup.from_table(elements, rows)
 
 
 def load_topology(path) -> tuple:

@@ -286,11 +286,12 @@ def complement_in(ambient: FuzzySet, sub: FuzzySet) -> FuzzySet:
 
 def is_subset(a: FuzzySet, b: FuzzySet) -> Verdict:
     """a <= b pointwise; on failure the witness is the first violating element."""
-    carrier, den, (na, nb) = _aligned([a, b])
-    for x, p, r in zip(carrier.elements, na, nb):
-        if p > r:
+    if a.carrier != b.carrier:
+        raise CarrierMismatchError("fuzzy sets live on different carriers")
+    for x, p, r in zip(a.carrier.elements, a.nums, b.nums):
+        if p * b.den > r * a.den:  # p / a.den > r / b.den
             return Verdict.failed(
-                f"grade {format_grade(Fraction(p, den))} > {format_grade(Fraction(r, den))} "
+                f"grade {format_grade(Fraction(p, a.den))} > {format_grade(Fraction(r, b.den))} "
                 f"at {x!r}", witness=x
             )
     return Verdict.passed()
@@ -307,12 +308,13 @@ def point_in(p: FuzzyPoint, mu: FuzzySet) -> bool:
 
 def is_normal_element(lam: FuzzySet, mu: FuzzySet, a) -> Verdict:
     """lam(a) >= mu(y) for every y; witness is the first dominating y."""
-    carrier, den, (nl, nm) = _aligned([lam, mu])
-    na = nl[carrier.index(a)]
-    for y, n in zip(carrier.elements, nm):
-        if na < n:
+    if lam.carrier != mu.carrier:
+        raise CarrierMismatchError("fuzzy sets live on different carriers")
+    na = lam.nums[lam.carrier.index(a)]
+    for y, n in zip(mu.carrier.elements, mu.nums):
+        if na * mu.den < n * lam.den:  # na / lam.den < n / mu.den
             return Verdict.failed(
-                f"lam({a!r})={format_grade(Fraction(na, den))} "
-                f"< mu({y!r})={format_grade(Fraction(n, den))}", witness=y
+                f"lam({a!r})={format_grade(Fraction(na, lam.den))} "
+                f"< mu({y!r})={format_grade(Fraction(n, mu.den))}", witness=y
             )
     return Verdict.passed()

@@ -405,6 +405,44 @@ class TestPreconditions:
         assert code == 1
         assert lines_of(out)["PROVENANCE"] == "group-axioms"
 
+    # Well-formed tables with no identity, and with no inverse for a.
+    NON_GROUPS = {
+        "no-identity": ("elements: a b\nb b\nb b\n", "table has no identity element", None),
+        "no-inverse": ("elements: e a\ne a\na a\n", "element 'a' has no inverse", "a"),
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ("check-subgroup", "group", "missing"),
+        ("check-homomorphism", "map", "group", "group"),
+        ("check-topgroup", "group", "missing"),
+        ("check-action", "group", "missing"),
+        ("check-invariant", "group", "missing", "missing"),
+        ("restrict", "group", "missing", "--subgroup", "a"),
+        ("quotient", "group", "missing", "missing"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("table", NON_GROUPS)
+    def test_table_without_identity_or_inverse_is_not_a_group(self, tmp_path, table, argv):
+        """A refutation, exit 1, before the next file is opened; not a
+        malformed file.  check-subgroup reports it as its verdict."""
+        text, reason, at = self.NON_GROUPS[table]
+        labels = text.split("\n", 1)[0].split()[1:]
+        ones = put(tmp_path, "ones.txt", "".join(f"{x} 1\n" for x in labels))
+        files = {
+            "group": put(tmp_path, "g.txt", text),
+            "map": put(tmp_path, "f.txt", f"source: {ones}\ntarget: {ones}\n"
+                       + "".join(f"{x} -> {x}\n" for x in labels)),
+            "missing": str(tmp_path / "missing.txt"),
+        }
+        code, out = run(*(files.get(a, a) for a in argv), "--format", "machine")
+        fields = lines_of(out)
+        assert (code, fields["VERDICT"]) == (1, "fail")
+        if argv[0] == "check-subgroup":
+            assert (fields["PROVENANCE"], fields["WITNESS_REASON"]) == ("group-axioms", reason)
+        else:
+            assert fields["PROVENANCE"] == "precondition"
+            assert fields["WITNESS_REASON"] == f"not a group: {reason}"
+        assert fields.get("WITNESS_AT") == at
+
     @pytest.fixture
     def collapse_files(self, tmp_path):
         """Z2 acting on {p, q} by every g.x = p, which misses q."""

@@ -59,8 +59,21 @@ class TestCatalog:
         z3 = cyclic_group(3)
         rows = [list(r) for r in z3.table]
         rows[1][1] = 1  # 1+1 = 1 breaks cancellation
-        bad = FiniteGroup(z3.carrier, tuple(tuple(r) for r in rows), 0, z3.inverses)
+        bad = FiniteGroup(z3.carrier, tuple(tuple(r) for r in rows))
         assert not validate_group(bad).ok
+
+    def test_identity_and_inverses_come_from_the_table(self):
+        z2 = FiniteGroup(Carrier(("a", "b")), (("a", "b"), ("b", "a")))
+        assert validate_group(z2).ok
+        assert (z2.identity, z2.inverses) == ("a", ("a", "b"))
+
+    @pytest.mark.parametrize("rows, reason, witness", [
+        ((("b", "b"), ("b", "b")), "table has no identity element", None),
+        ((("a", "b"), ("b", "b")), "element 'b' has no inverse", "b"),
+    ], ids=["no-identity", "no-inverse"])
+    def test_table_without_identity_or_inverse_is_not_a_group(self, rows, reason, witness):
+        v = validate_group(FiniteGroup.from_table(("a", "b"), rows))
+        assert (v.ok, v.reason, v.witness) == (False, reason, witness)
 
 
 class TestFuzzySubgroup:

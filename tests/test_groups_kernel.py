@@ -35,9 +35,9 @@ GROUPS = list(catalog().values()) + [symmetric_group(4), dihedral_group(6)]
 @st.composite
 def tables(draw):
     """A catalog group with a few Cayley entries replaced: anywhere (often
-    breaking the identity or inverse law first), or only off the identity's
-    row and column and off the inverse positions, so that associativity
-    decides; now and then by a label outside the carrier."""
+    leaving no identity, or an element without an inverse), or only off the
+    identity's row and column and off the inverse positions, so that
+    associativity decides; now and then by a label outside the carrier."""
     group = draw(st.sampled_from(GROUPS))
     elems = group.carrier.elements
     n = len(elems)
@@ -53,7 +53,7 @@ def tables(draw):
         rows[a][b] = elems[draw(index)]
     if draw(st.integers(0, 9)) == 0:
         rows[draw(index)][draw(index)] = "stray"
-    return FiniteGroup(group.carrier, rows, group.identity, group.inverses)
+    return FiniteGroup(group.carrier, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -61,6 +61,22 @@ def tables(draw):
 def test_validate_group_matches_triple_loop(group):
     got, want = validate_group(group), oracle.validate_group(group)
     assert (got.ok, got.reason, repr(got.witness)) == (want.ok, want.reason, repr(want.witness))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(GROUPS), tables()))
+def test_identity_and_inverses_are_read_off_the_table(group):
+    """Against their definitions on labels: the e with ex = x = xe for every
+    x, which is unique when it exists, and per x the first y in carrier
+    order with xy = e = yx; None where there is none."""
+    elems = group.carrier.elements
+    units = [e for e in elems if all(group.op(e, x) == x == group.op(x, e) for x in elems)]
+    assert len(units) <= 1
+    e = units[0] if units else None
+    assert group.identity == e
+    assert group.inverses == tuple(
+        next((y for y in elems if e is not None and group.op(x, y) == e == group.op(y, x)), None)
+        for x in elems)
 
 
 def same(got, want):
@@ -75,15 +91,18 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc), repr(getattr(exc, "witness", None))
 
 
-def closed(group):
-    return all(v in group.carrier for row in group.table for v in row)
+def closed_with_inverses(group):
+    return (all(v in group.carrier for row in group.table for v in row)
+            and None not in group.inverses)
 
 
 @st.composite
 def groups(draw):
     """A catalog group, or one with replaced Cayley entries but no stray
-    label: every scan but validate_group's reads the index table."""
-    return draw(st.one_of(st.sampled_from(GROUPS), tables().filter(closed)))
+    label, an identity and an inverse for every element, so perhaps not
+    associative: every scan but validate_group's reads the index table and
+    the inverses."""
+    return draw(st.one_of(st.sampled_from(GROUPS), tables().filter(closed_with_inverses)))
 
 
 @st.composite

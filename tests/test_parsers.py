@@ -123,9 +123,10 @@ class TestGroupFile:
             load_group(path)
 
     def test_table_without_identity(self, tmp_path):
-        path = write(tmp_path, "g.txt", "elements: a b\nb b\nb b\n")
-        with pytest.raises(ParseError):
-            load_group(path)
+        """Loads: that it is no group is validate_group's verdict."""
+        g = load_group(write(tmp_path, "g.txt", "elements: a b\nb b\nb b\n"))
+        v = validate_group(g)
+        assert (v.ok, v.reason, v.witness) == (False, "table has no identity element", None)
 
 
 class TestTopologyFile:
@@ -158,8 +159,7 @@ class TestActionFile:
         # group elements print as 0 and 1
         path = write(tmp_path, "act.txt",
                      "0 p -> p\n0 q -> q\n1 p -> q\n1 q -> p\n")
-        g = type(z2)(Carrier(("0", "1")),
-                     (("0", "1"), ("1", "0")), "0", ("0", "1"))
+        g = type(z2)(Carrier(("0", "1")), (("0", "1"), ("1", "0")))
         action = load_action(path, g)
         assert verify_action(action).ok
         assert action.act("1", "p") == "q"
@@ -168,8 +168,7 @@ class TestActionFile:
         g = cyclic_group(2)
         path = write(tmp_path, "act.txt", "0 p -> p\n1 p -> p\n0 q -> q\n")
         with pytest.raises(ParseError):
-            load_action(path, type(g)(Carrier(("0", "1")),
-                                      (("0", "1"), ("1", "0")), "0", ("0", "1")))
+            load_action(path, type(g)(Carrier(("0", "1")), (("0", "1"), ("1", "0"))))
 
 
 class TestRelationFile:
@@ -353,11 +352,9 @@ GOLDEN = {
     "group-repeated-elements": (load_group, "elements: 0 1\n0 1\n1 0\nelements: 0 1\n", 4,
                                 "repeated 'elements:' line"),
     "group-duplicate-label": (load_group, "elements: e e\ne e\ne e\n", 1,
-                              "carrier has duplicate labels"),
-    "group-no-identity": (load_group, "elements: a b\nb b\nb b\n", 1,
-                          "table has no identity element"),
-    "group-no-inverse": (load_group, "elements: e a\ne a\na a\n", 1,
-                         "element 'a' has no inverse"),
+                              "duplicate element 'e'"),
+    "group-duplicate-label-late": (load_group, "# c\n\nelements: e e\ne e\ne e\n", 3,
+                                   "duplicate element 'e'"),
     "topo-repeated-ambient": (load_topology, "ambient: amb.txt\nambient: amb.txt\n", 2,
                               "repeated 'ambient:' line"),
     "topo-repeated-q": (load_topology, "ambient: amb.txt\nq=2\nq=2\n", 3, "repeated 'q=' line"),
