@@ -3,8 +3,8 @@ restriction / quotient constructions.
 
 Every predicate returns a Verdict whose witness is the lexicographically
 first violation under carrier order, so failures are reproducible.  The
-scans run on element indices: a group and an action each cache their table
-with every label replaced by its carrier index, and labels come back only
+scans run on element indices: a group caches its Cayley table, identity and
+inverses as carrier indices, an action its table, and labels come back only
 in reasons, witnesses and the structures built.
 """
 
@@ -52,24 +52,30 @@ class FiniteGroup:
         return tuple(tuple(map(self.carrier.index, row)) for row in self.table)
 
     @cached_property
-    def identity(self):
-        """The element whose row and column are the element list, or None."""
-        elems = self.carrier.elements
-        return next((e for e, row, col in zip(elems, self.table, zip(*self.table))
-                     if row == elems == col), None)
-
-    @cached_property
-    def inverses(self) -> tuple:
-        """Per element, in carrier order, the y with xy = yx = identity, or
-        None where there is none."""
-        e = self.identity
-        return tuple(next((y for y, a, b in zip(self.carrier, row, col) if a == b == e), None)
-                     for row, col in zip(self.table, zip(*self.table)))
+    def _e(self):
+        """Index of the element whose row and column are the element list, or None."""
+        return next((i for i, (row, col) in enumerate(zip(self.table, zip(*self.table)))
+                     if row == self.carrier.elements == col), None)
 
     @cached_property
     def _inv(self) -> tuple:
-        """The inverses as element indices."""
-        return tuple(map(self.carrier.index, self.inverses))
+        """Per element, in carrier order, the index of the first y with
+        xy = yx = identity, or None where there is none."""
+        if self._e is None:
+            return (None,) * len(self)
+        e = self.carrier.elements[self._e]
+        return tuple(next((y for y, (a, b) in enumerate(zip(row, col)) if a == b == e), None)
+                     for row, col in zip(self.table, zip(*self.table)))
+
+    @cached_property
+    def identity(self):
+        """The identity's label; None also where the table has none."""
+        return None if self._e is None else self.carrier.elements[self._e]
+
+    @cached_property
+    def inverses(self) -> tuple:
+        """The inverses' labels; None also where an element has none."""
+        return tuple(None if y is None else self.carrier.elements[y] for y in self._inv)
 
     def op(self, a, b):
         return self.table[self.carrier.index(a)][self.carrier.index(b)]
@@ -102,9 +108,9 @@ def validate_group(group: FiniteGroup) -> Verdict:
     stray = [v for row in group.table for v in row if v not in group.carrier]
     if stray:
         return Verdict.failed(f"product {stray[0]!r} not an element", witness=stray[0])
-    if group.identity is None:
+    if group._e is None:
         return Verdict.failed("table has no identity element")
-    lost = next((x for x, y in enumerate(group.inverses) if y is None), None)
+    lost = next((x for x, y in enumerate(group._inv) if y is None), None)
     if lost is not None:
         return Verdict.failed(f"element {elems[lost]!r} has no inverse", witness=elems[lost])
     bad = _composition_failure(group._ints, group._ints)
@@ -200,8 +206,7 @@ def verify_action(action: FiniteAction) -> Verdict:
     for y, n in enumerate(action.ambient.nums):
         if n and y not in reached:
             return Verdict.failed(f"support point {points[y]!r} not reached", witness=points[y])
-    e = action.group.carrier.index(action.group.identity)
-    moved = next((x for x, y in enumerate(act[e]) if y != x), None)
+    moved = next((x for x, y in enumerate(act[action.group._e]) if y != x), None)
     if moved is not None:
         return Verdict.failed(f"identity law fails at {points[moved]!r}", witness=points[moved])
     return Verdict.passed()
@@ -228,17 +233,17 @@ def is_G_invariant(action: FiniteAction, s: FuzzySet) -> Verdict:
 
 
 def check_subgroup(group: FiniteGroup, elements) -> Verdict:
-    """Is the subset closed under products and inverses and nonempty?"""
+    """Is the subset of a valid group nonempty and closed under products and inverses?"""
     subset = set(elements)
     if not subset:
         return Verdict.failed("empty subset is not a subgroup", witness=None)
     for x in elements:
         if x not in group.carrier:
             return Verdict.failed(f"{x!r} is not a group element", witness=x)
-    if group.identity not in subset:
-        return Verdict.failed("identity missing", witness=group.identity)
     elems, mul, inv = group.carrier.elements, group._ints, group._inv
     inside = [x in subset for x in elems]
+    if not inside[group._e]:
+        return Verdict.failed("identity missing", witness=elems[group._e])
     members = [x for x, m in enumerate(inside) if m]
     for x in members:
         if not inside[inv[x]]:
@@ -330,17 +335,14 @@ def quotient_action(action: FiniteAction, rho: EquivalenceRelation) -> FiniteAct
 
 
 def coset_action(group: FiniteGroup, subgroup_elements) -> FiniteAction:
-    """Left-translation action on left cosets of a subgroup."""
+    """Left-translation action on left cosets of a subgroup: the quotient of
+    the left-regular action by the cosets, ordered by their least elements."""
     check_subgroup(group, subgroup_elements).require("not a subgroup")
-    subset = set(subgroup_elements)
-    elems, mul = group.carrier.elements, group._ints
+    subset, elems = set(subgroup_elements), group.carrier.elements
     hs = [h for h, x in enumerate(elems) if x in subset]
-    cosets = [tuple(sorted({row[h] for h in hs})) for row in mul]  # gH for each g
-    firsts = [g for g, c in enumerate(cosets) if c[0] == g]  # each coset by its first element
-    named = [tuple(elems[x] for x in c) for c in cosets]
-    table = (tuple(named[row[g]] for g in firsts) for row in mul)
-    space = Carrier(tuple(named[g] for g in firsts))
-    return FiniteAction(group, space, FuzzySet.ones(space), table)
+    cosets = sorted({tuple(sorted(row[h] for h in hs)) for row in group._ints})  # each gH
+    regular = FiniteAction(group, group.carrier, FuzzySet.ones(group.carrier), group.table)
+    return quotient_action(regular, EquivalenceRelation([[elems[x] for x in c] for c in cosets]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,23 +25,14 @@ def _vec(values) -> tuple:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Nonzero coefficients: [e_i, e_j] = sum of c * e_k over the (k, c)
-    pairs of table[(i, j)], in ascending k; unlisted pairs bracket to 0.
-
-    `scale` is the lcm of the coefficients' denominators and `ints` holds
-    the same table times `scale` as ints.
-    """
+    """Nonzero coefficients, scaled to ints: [e_i, e_j] = sum of c / scale
+    * e_k over the (k, c) pairs of ints[(i, j)], in ascending k; unlisted
+    pairs bracket to 0.  `scale` is the lcm of the rational coefficients'
+    denominators."""
 
     dim: int
-    table: dict = field(hash=False)
-
-    def __post_init__(self):
-        scale = math.lcm(1, *(c.denominator for terms in self.table.values()
-                              for _, c in terms))
-        ints = {key: tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
-                for key, terms in self.table.items()}
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "ints", ints)
+    scale: int
+    ints: dict = field(hash=False)
 
     @classmethod
     def from_entries(cls, dim: int, entries: dict) -> "StructureConstants":
@@ -55,7 +46,10 @@ class StructureConstants:
             v = Fraction(v)
             if v:
                 table.setdefault((i, j), []).append((k, v))
-        return cls(dim, {key: tuple(terms) for key, terms in table.items()})
+        scale = math.lcm(1, *(c.denominator for terms in table.values() for _, c in terms))
+        ints = {key: tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
+                for key, terms in table.items()}
+        return cls(dim, scale, ints)
 
     def basis(self, i: int) -> tuple:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))

@@ -151,7 +151,7 @@ class FuzzySet:
 
     def __init__(self, carrier: Carrier, grades=()):
         values = tuple(grades)
-        fracs = [Fraction(v) for v in values]
+        fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
         den = math.lcm(1, *(g.denominator for g in fracs))
         nums = tuple(g.numerator * (den // g.denominator) for g in fracs)
         for v, n in zip(values, nums):
@@ -183,11 +183,15 @@ class FuzzySet:
 
     @classmethod
     def from_map(cls, carrier: Carrier, mapping, default=ZERO) -> "FuzzySet":
-        return cls(carrier, tuple(mapping.get(x, default) for x in carrier))
+        """Grade mapping[x] at x and `default` elsewhere; KeyError on an
+        element outside the carrier."""
+        by_index = {carrier.index(x): g for x, g in mapping.items()}
+        return cls(carrier, tuple(by_index.get(i, default) for i in range(len(carrier))))
 
     @classmethod
     def constant(cls, carrier: Carrier, g) -> "FuzzySet":
-        return cls(carrier, (g,) * len(carrier))
+        g = as_grade(g)
+        return cls._from_nums(carrier, (g.numerator,) * len(carrier), g.denominator)
 
     @classmethod
     def zero(cls, carrier: Carrier) -> "FuzzySet":

@@ -67,6 +67,19 @@ class TestCatalog:
         assert validate_group(z2).ok
         assert (z2.identity, z2.inverses) == ("a", ("a", "b"))
 
+    @pytest.mark.parametrize("labels, identity, inverses", [
+        ((None, 1), None, (None, 1)),
+        (("e", None), "e", ("e", None)),
+    ], ids=["identity-None", "inverse-None"])
+    def test_a_label_None_is_an_element_like_any_other(self, labels, identity, inverses):
+        a, b = labels
+        z2 = FiniteGroup(Carrier(labels), ((a, b), (b, a)))
+        assert validate_group(z2).ok
+        assert (z2.identity, z2.inverses) == (identity, inverses)
+        assert check_subgroup(z2, [a]).ok and not check_subgroup(z2, [b]).ok
+        action = FiniteAction.from_function(z2, z2.carrier, z2.op)
+        assert verify_action(action).ok
+
     @pytest.mark.parametrize("rows, reason, witness", [
         ((("b", "b"), ("b", "b")), "table has no identity element", None),
         ((("a", "b"), ("b", "b")), "element 'b' has no inverse", "b"),

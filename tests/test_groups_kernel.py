@@ -56,8 +56,14 @@ def tables(draw):
     return FiniteGroup(group.carrier, rows)
 
 
+NONE_LABELLED = (FiniteGroup(Carrier((None, 1)), ((None, 1), (1, None))),
+                 FiniteGroup(Carrier(("e", None)), (("e", None), (None, "e"))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(tables())
+@example(NONE_LABELLED[0])
+@example(NONE_LABELLED[1])
 def test_validate_group_matches_triple_loop(group):
     got, want = validate_group(group), oracle.validate_group(group)
     assert (got.ok, got.reason, repr(got.witness)) == (want.ok, want.reason, repr(want.witness))
@@ -65,6 +71,8 @@ def test_validate_group_matches_triple_loop(group):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.sampled_from(GROUPS), tables()))
+@example(NONE_LABELLED[0])
+@example(NONE_LABELLED[1])
 def test_identity_and_inverses_are_read_off_the_table(group):
     """Against their definitions on labels: the e with ex = x = xe for every
     x, which is unique when it exists, and per x the first y in carrier
@@ -75,7 +83,7 @@ def test_identity_and_inverses_are_read_off_the_table(group):
     e = units[0] if units else None
     assert group.identity == e
     assert group.inverses == tuple(
-        next((y for y in elems if e is not None and group.op(x, y) == e == group.op(y, x)), None)
+        next((y for y in elems if units and group.op(x, y) == e == group.op(y, x)), None)
         for x in elems)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -50,6 +51,15 @@ class TestBracket:
                 bracket(sc, x, z), bracket(sc, y, z))
             assert bracket(sc, vec_scale(a, x), y) == vec_scale(a, bracket(sc, x, y))
             assert bracket(sc, x, y) == vec_scale(-1, bracket(sc, y, x))
+
+
+class TestStructureConstants:
+    def test_held_as_ints_over_the_lcm_of_the_denominators(self):
+        sc = StructureConstants.from_entries(
+            2, {(1, 0, 0): F(-1, 3), (0, 1, 0): F(1, 2), (1, 1, 1): 0})
+        assert [f.name for f in dataclasses.fields(sc)] == ["dim", "scale", "ints"]
+        assert (sc.scale, sc.ints) == (6, {(0, 1): ((0, 3),), (1, 0): ((0, -2),)})
+        assert bracket(sc, (1, 0), (0, 1)) == (F(1, 2), F(0))
 
 
 class TestValidateLie:

@@ -222,6 +222,13 @@ class TestTabulatedCharts:
         assert not rep.ok and rep.reason == "not injective on the table"
         assert rep.witness == 0.1
 
+    def test_table_split_into_short_pieces_is_too_small(self):
+        # Gaps far wider than the spacing cut the rows into pairs, and a
+        # pair has one difference quotient, with none to compare it to.
+        xs = [0.0, 1.0, 100.0, 101.0, 10000.0, 10001.0]
+        rep = check_c1_tabulated(xs, xs)
+        assert (rep.ok, rep.reason, rep.witness) == (False, "grid too small", 6)
+
 
 class TestNumericRank:
     def test_identity_full_rank(self):

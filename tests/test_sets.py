@@ -236,6 +236,24 @@ class TestGuards:
             as_grade(F(3, 2))
         assert err.value.args[0] == "grade outside [0,1]: Fraction(3, 2)"
 
+    def test_point_off_the_carrier_is_refused(self):
+        with pytest.raises(KeyError) as err:
+            FuzzySet.point(AB, "z", 1)
+        assert err.value.args[0] == "'z' not in carrier"
+        with pytest.raises(KeyError):
+            FuzzySet.from_map(AB, {"a": F(1, 2), "z": F(1)})
+
+    def test_constant_checks_its_grade(self):
+        assert FuzzySet.constant(ABC, 0.25) == FuzzySet(ABC, (F(1, 4),) * 3)
+        with pytest.raises(ValueError) as err:
+            FuzzySet.constant(AB, F(3, 2))
+        assert err.value.args[0] == "grade outside [0,1]: Fraction(3, 2)"
+
+    def test_subset_across_carriers(self):
+        with pytest.raises(CarrierMismatchError) as err:
+            is_subset(FuzzySet.zero(AB), FuzzySet.zero(ABC))
+        assert err.value.args[0] == "fuzzy sets live on different carriers"
+
     def test_union_of_no_sets(self):
         with pytest.raises(ValueError) as err:
             union([])
