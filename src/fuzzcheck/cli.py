@@ -331,6 +331,7 @@ def cmd_demo_circle(args) -> Report:
                                        default=0.0),
             "samples_per_chart": n,
         },
+        notes=["checked at sampled points of each chart; not a proof"] if ok else [],
     )
     bad_cover = next((cover for cover in (phi_cover, psi_cover) if not cover.ok), None)
     if bad_cover is not None:
@@ -357,6 +358,7 @@ def cmd_demo_gl(args) -> Report:
             "max_orthogonality_error": report.max_orthogonality_error,
             "inclusion_rank": report.inclusion_rank,
         },
+        notes=["checked on random matrices; not a proof"] if report.ok else [],
     )
 
 
@@ -381,9 +383,9 @@ def cmd_demo_example(args) -> Report:
             witness["y"] = y
             metrics["mu_bracket"] = got
             metrics["max_grade"] = bound
-    rep = Report("demo-example-2-14", verdict, "cross-product-bracket-demo",
-                 witness=witness, metrics=metrics)
-    return rep
+    notes = ["no violation on the sample set; not a universal proof"] if verdict == "pass" else []
+    return Report("demo-example-2-14", verdict, "cross-product-bracket-demo",
+                  witness=witness, metrics=metrics, notes=notes)
 
 
 # --- argument parsing --------------------------------------------------------

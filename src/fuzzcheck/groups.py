@@ -2,54 +2,42 @@
 restriction / quotient constructions.
 
 Every predicate returns a Verdict whose witness is the lexicographically
-first violation under carrier order, so failures are reproducible.  The
-scans run on element indices: a group caches its Cayley table, identity and
-inverses as carrier indices, an action its table, and labels come back only
-in reasons, witnesses and the structures built.
+first violation under carrier order, so failures are reproducible.  A group
+or an action converts its table to carrier indices once, when it is built,
+and refuses a wrong shape or a stray label with ValueError; a group reads its
+identity and inverses off that table.  The scans run on indices, and labels
+come back only in reasons, witnesses and the structures built.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
 from .errors import CarrierMismatchError, DominationError
-from .maps import ProperFunction
+from .maps import ProperFunction, indices
 from .sets import Carrier, FuzzySet, Verdict, format_grade
 from .topology import DEFAULT_CLOSURE_CAP, FuzzyTopology, check_map, product_topology
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Element list and Cayley table; identity and inverses are read off it."""
+    """Element list and square Cayley table; identity and inverses are read off it."""
 
     carrier: Carrier
     table: tuple  # table[i][j] = carrier.elements[i] * carrier.elements[j]
+    _ints: tuple = field(init=False, repr=False, compare=False)  # the table on indices
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-
-    @classmethod
-    def from_table(cls, elements, rows) -> "FiniteGroup":
-        """Build from an element list and a Cayley table.  Raises ValueError
-        when the list is empty or repeats a label, the table is not square or
-        an entry is not an element."""
-        carrier = Carrier(tuple(elements))
-        elems = carrier.elements
-        rows = tuple(tuple(row) for row in rows)
-        if len(rows) != len(elems) or any(len(r) != len(elems) for r in rows):
+        n = len(self.carrier)
+        if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("Cayley table must be square and match the element list")
-        stray = [v for row in rows for v in row if v not in carrier]
-        if stray:
-            raise ValueError(f"Cayley entry {stray[0]!r} is not an element")
-        return cls(carrier, rows)
-
-    @cached_property
-    def _ints(self) -> tuple:
-        """The Cayley table on element indices; KeyError on a stray label."""
-        return tuple(tuple(map(self.carrier.index, row)) for row in self.table)
+        object.__setattr__(self, "_ints", tuple(
+            indices(self.carrier, row, "Cayley entry {!r} is not an element")
+            for row in self.table))
 
     @cached_property
     def _e(self):
@@ -61,11 +49,8 @@ class FiniteGroup:
     def _inv(self) -> tuple:
         """Per element, in carrier order, the index of the first y with
         xy = yx = identity, or None where there is none."""
-        if self._e is None:
-            return (None,) * len(self)
-        e = self.carrier.elements[self._e]
-        return tuple(next((y for y, (a, b) in enumerate(zip(row, col)) if a == b == e), None)
-                     for row, col in zip(self.table, zip(*self.table)))
+        return tuple(next((y for y, (a, b) in enumerate(zip(row, col)) if a == b == self._e), None)
+                     for row, col in zip(self._ints, zip(*self._ints)))
 
     @cached_property
     def identity(self):
@@ -103,11 +88,8 @@ def _composition_failure(mul, act):
 
 
 def validate_group(group: FiniteGroup) -> Verdict:
-    """Closure, an identity, an inverse for each element, associativity."""
+    """An identity, an inverse for each element, associativity."""
     elems = group.carrier.elements
-    stray = [v for row in group.table for v in row if v not in group.carrier]
-    if stray:
-        return Verdict.failed(f"product {stray[0]!r} not an element", witness=stray[0])
     if group._e is None:
         return Verdict.failed("table has no identity element")
     lost = next((x for x, y in enumerate(group._inv) if y is None), None)
@@ -168,22 +150,23 @@ class FiniteAction:
     space: Carrier
     ambient: FuzzySet
     table: tuple  # table[gi][xi] = action of group element gi on space element xi
+    _ints: tuple = field(init=False, repr=False, compare=False)  # the table on space indices
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
         if self.ambient.carrier != self.space:
             raise CarrierMismatchError("ambient fuzzy set must live on the action space")
+        if len(self.table) != len(self.group) or any(len(r) != len(self.space) for r in self.table):
+            raise ValueError("action table must have a row per group element, a column per point")
+        object.__setattr__(self, "_ints", tuple(
+            indices(self.space, row, "action value {!r} is not a space point")
+            for row in self.table))
 
     @classmethod
     def from_function(cls, group: FiniteGroup, space: Carrier, act, ambient=None) -> "FiniteAction":
         ambient = ambient if ambient is not None else FuzzySet.ones(space)
         table = tuple(tuple(act(g, x) for x in space) for g in group.carrier)
         return cls(group, space, ambient, table)
-
-    @cached_property
-    def _ints(self) -> tuple:
-        """The action table on space indices; KeyError on a stray label."""
-        return tuple(tuple(map(self.space.index, row)) for row in self.table)
 
     def act(self, g, x):
         return self.table[self.group.carrier.index(g)][self.space.index(x)]
@@ -193,9 +176,6 @@ def verify_action(action: FiniteAction) -> Verdict:
     """Composition law for every (g,h,x), surjectivity onto the support of
     the space's ambient fuzzy set, then e.x = x, which the first two force
     on an all-ones ambient: e.(g.x) = (eg).x = g.x."""
-    stray = [y for row in action.table for y in row if y not in action.space]
-    if stray:
-        return Verdict.failed(f"action leaves the space at {stray[0]!r}", witness=stray[0])
     act, points = action._ints, action.space.elements
     bad = _composition_failure(action.group._ints, act)
     if bad is not None:
@@ -351,7 +331,7 @@ def coset_action(group: FiniteGroup, subgroup_elements) -> FiniteAction:
 def cyclic_group(n: int) -> FiniteGroup:
     elems = tuple(range(n))
     rows = tuple(tuple((i + j) % n for j in elems) for i in elems)
-    return FiniteGroup.from_table(elems, rows)
+    return FiniteGroup(Carrier(elems), rows)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -360,7 +340,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         tuple((g.op(a1, a2), h.op(b1, b2)) for (a2, b2) in elems)
         for (a1, b1) in elems
     )
-    return FiniteGroup.from_table(elems, rows)
+    return FiniteGroup(Carrier(elems), rows)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -370,7 +350,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     rows = tuple(
         tuple(tuple(p[q[i]] for i in range(n)) for q in elems) for p in elems
     )
-    return FiniteGroup.from_table(elems, rows)
+    return FiniteGroup(Carrier(elems), rows)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -388,7 +368,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         return ("r", (ka - kb) % n)
 
     rows = tuple(tuple(op(a, b) for b in elems) for a in elems)
-    return FiniteGroup.from_table(elems, rows)
+    return FiniteGroup(Carrier(elems), rows)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -409,7 +389,7 @@ def quaternion_group() -> FiniteGroup:
         return u if s == 1 else "-" + u
 
     rows = tuple(tuple(op(a, b) for b in elems) for a in elems)
-    return FiniteGroup.from_table(elems, rows)
+    return FiniteGroup(Carrier(elems), rows)
 
 
 def catalog() -> dict:

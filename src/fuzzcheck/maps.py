@@ -8,11 +8,18 @@ crisp fibers.  The scans run on the images as target indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError
 from .sets import FuzzySet, Verdict, ZERO, is_subset
+
+
+def indices(carrier, labels, stray: str) -> tuple:
+    """The labels as carrier indices; ValueError `stray` names the first stray label."""
+    try:
+        return tuple(map(carrier.index, labels))
+    except KeyError:
+        raise ValueError(stray.format(next(y for y in labels if y not in carrier))) from None
 
 
 @dataclass(frozen=True)
@@ -22,14 +29,14 @@ class ProperFunction:
     source: FuzzySet
     target: FuzzySet
     images: tuple  # images[i] = value at source.carrier.elements[i]
+    _ints: tuple = field(init=False, repr=False, compare=False)  # the images as target indices
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
         if len(self.images) != len(self.source.carrier):
             raise ValueError("map must be total on the source carrier")
-        for y in self.images:
-            if y not in self.target.carrier:
-                raise ValueError(f"map value {y!r} not in target carrier")
+        object.__setattr__(self, "_ints", indices(
+            self.target.carrier, self.images, "map value {!r} not in target carrier"))
 
     @classmethod
     def from_dict(cls, source: FuzzySet, target: FuzzySet, mapping: dict) -> "ProperFunction":
@@ -38,11 +45,6 @@ class ProperFunction:
         except KeyError as exc:
             raise ValueError(f"map not defined at {exc.args[0]!r}") from None
         return cls(source, target, images)
-
-    @cached_property
-    def _ints(self) -> tuple:
-        """The images as target indices, aligned with source order."""
-        return tuple(map(self.target.carrier.index, self.images))
 
     def of(self, x):
         return self.images[self.source.carrier.index(x)]

@@ -181,7 +181,7 @@ def load_group(path) -> FiniteGroup:
         raise ParseError(path, 1, "missing 'elements:' line")
     if len(rows) != len(elements):
         raise ParseError(path, 1, f"expected {len(elements)} Cayley rows, got {len(rows)}")
-    return FiniteGroup.from_table(elements, rows)
+    return FiniteGroup(Carrier(elements), rows)
 
 
 def load_topology(path) -> tuple:

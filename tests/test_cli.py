@@ -611,6 +611,69 @@ class TestDemos:
         assert code == 2
 
 
+class TestHumanFormat:
+    """The default format: a header line, then one line per witness, metric
+    and note.  Notes say where a pass rests on samples, and appear only here."""
+
+    def test_pass(self, tmp_path, z4):
+        mu = put(tmp_path, "mu.txt", Z4_SUBGROUP_SET)
+        assert run("check-subgroup", z4, mu) == (
+            0, "check-subgroup: PASS  [fuzzy-subgroup-conditions]\n  order = 4\n")
+
+    def test_fail_with_a_witness(self, tmp_path, z4):
+        mu = put(tmp_path, "mu.txt", Z4_BAD_SET)
+        assert run("check-subgroup", z4, mu) == (1, (
+            "check-subgroup: FAIL  [fuzzy-subgroup-conditions]\n"
+            "  witness reason = mu('1''1')=1/4 < min=1/2\n"
+            "  witness at = (pair,(1,1))\n"
+            "  order = 4\n"))
+
+    def test_lie_predicate_pass_has_its_note(self, tmp_path):
+        sc = put(tmp_path, "sc.txt", TestLieCommands.CROSS)
+        mu = put(tmp_path, "mu.txt", TestLieCommands.Z_AXIS)
+        assert run("check-lie-subalgebra", sc, mu) == (0, (
+            "check-lie-subalgebra: PASS  [fuzzy-lie-subalgebra]\n"
+            "  sample_vectors = 125\n"
+            "  note: no violation on the sample set; not a universal proof\n"))
+        code, out = run("check-lie-ideal", sc, mu)
+        assert code == 1 and "note:" not in out
+
+    def test_tabulated_atlas_has_its_note(self, tmp_path):
+        c1 = put(tmp_path, "c1.txt", "".join(f"{i/20} {i/20} {2*i/20} 1.0\n" for i in range(20)))
+        c2 = put(tmp_path, "c2.txt",
+                 "".join(f"{3*i/20 + 1} {i/20} {2*i/20} 1.0\n" for i in range(20)))
+        assert run("check-atlas", c1, c2) == (0, (
+            "check-atlas: PASS  [c1-atlas-checks]\n"
+            "  charts = 2\n"
+            "  cover_deficiency = 0.0\n"
+            "  transitions = 2\n"
+            "  transitions_ok = true\n"
+            "  pair_chart0_chart1 = true\n"
+            "  pair_chart1_chart0 = true\n"
+            "  note: tabulated charts: derivative checks use coarse difference quotients\n"))
+
+    @pytest.mark.parametrize("argv, note", [
+        (("demo-circle", "--samples-per-chart", "128", "--normalize-cover"),
+         "checked at sampled points of each chart; not a proof"),
+        (("demo-gl", "--n", "1", "--count", "3"), "checked on random matrices; not a proof"),
+        (("demo-example-2-14", "--part", "subalgebra"),
+         "no violation on the sample set; not a universal proof"),
+    ], ids=["circle", "gl", "example-2-14"])
+    def test_sampled_demo_pass_ends_with_its_note(self, argv, note):
+        code, out = run(*argv)
+        assert code == 0 and out.startswith(f"{argv[0]}: PASS  [")
+        assert out.splitlines()[-1] == f"  note: {note}"
+        assert "note" not in run(*argv, "--format", "machine")[1].lower()
+
+    @pytest.mark.parametrize("argv", [
+        ("demo-circle", "--samples-per-chart", "128"),
+        ("demo-example-2-14",),
+    ], ids=["circle", "example-2-14"])
+    def test_sampled_demo_fail_has_no_note(self, argv):
+        code, out = run(*argv)
+        assert code == 1 and ": FAIL  [" in out and "note:" not in out
+
+
 class TestLevelSetCommand:
     def test_members_listed(self, tmp_path):
         mu = put(tmp_path, "mu.txt", "a 1\nb 1/2\nc 1/4\n")

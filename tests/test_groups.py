@@ -85,7 +85,7 @@ class TestCatalog:
         ((("a", "b"), ("b", "b")), "element 'b' has no inverse", "b"),
     ], ids=["no-identity", "no-inverse"])
     def test_table_without_identity_or_inverse_is_not_a_group(self, rows, reason, witness):
-        v = validate_group(FiniteGroup.from_table(("a", "b"), rows))
+        v = validate_group(FiniteGroup(Carrier(("a", "b")), rows))
         assert (v.ok, v.reason, v.witness) == (False, reason, witness)
 
 
@@ -300,11 +300,28 @@ class TestGuards:
 
     def test_non_square_table(self):
         self.raises(ValueError, "Cayley table must be square and match the element list",
-                    FiniteGroup.from_table, (0, 1), ((0, 1), (1,)))
+                    FiniteGroup, Carrier((0, 1)), ((0, 1), (1,)))
 
     def test_stray_table_entry(self):
         self.raises(ValueError, "Cayley entry 2 is not an element",
-                    FiniteGroup.from_table, (0, 1), ((0, 1), (1, 2)))
+                    FiniteGroup, Carrier((0, 1)), ((0, 1), (1, 2)))
+
+    @pytest.mark.parametrize("rows", [
+        (("p",), ("q",)),  # where q goes is never said
+        (("p", "q"),),  # no row for the second element
+        (("p", "q"), ("q", "p", "p")),
+    ], ids=["short-rows", "missing-row", "long-row"])
+    def test_action_table_of_the_wrong_shape(self, rows):
+        space = Carrier(("p", "q"))
+        self.raises(ValueError,
+                    "action table must have a row per group element, a column per point",
+                    FiniteAction, cyclic_group(2), space, FuzzySet.ones(space), rows)
+
+    def test_stray_action_entry(self):
+        space = Carrier(("p", "q"))
+        self.raises(ValueError, "action value 'r' is not a space point",
+                    FiniteAction, cyclic_group(2), space, FuzzySet.ones(space),
+                    (("p", "q"), ("r", "s")))
 
     def test_ambient_on_another_carrier(self):
         space = Carrier(("p", "q"))

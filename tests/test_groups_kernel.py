@@ -4,6 +4,7 @@ witnesses must be equal, and so must the actions built."""
 
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -30,6 +31,7 @@ from fuzzcheck.groups import (
 from fuzzcheck.sets import Carrier, FuzzySet
 
 GROUPS = list(catalog().values()) + [symmetric_group(4), dihedral_group(6)]
+TABLES = [(group.carrier, group.table) for group in GROUPS]
 
 
 @st.composite
@@ -37,7 +39,8 @@ def tables(draw):
     """A catalog group with a few Cayley entries replaced: anywhere (often
     leaving no identity, or an element without an inverse), or only off the
     identity's row and column and off the inverse positions, so that
-    associativity decides; now and then by a label outside the carrier."""
+    associativity decides; now and then by one or two labels outside the
+    carrier.  Returns the carrier and the rows, which the constructor may refuse."""
     group = draw(st.sampled_from(GROUPS))
     elems = group.carrier.elements
     n = len(elems)
@@ -52,31 +55,60 @@ def tables(draw):
             continue
         rows[a][b] = elems[draw(index)]
     if draw(st.integers(0, 9)) == 0:
-        rows[draw(index)][draw(index)] = "stray"
-    return FiniteGroup(group.carrier, rows)
+        for label in ("stray", "astray")[:draw(st.integers(1, 2))]:
+            rows[draw(index)][draw(index)] = label
+    return group.carrier, rows
 
 
-NONE_LABELLED = (FiniteGroup(Carrier((None, 1)), ((None, 1), (1, None))),
-                 FiniteGroup(Carrier(("e", None)), (("e", None), (None, "e"))))
+def group_of(table):
+    """The group built from (carrier, rows), or None where the constructor
+    raises ValueError, with the label loop's verdict.  The constructor
+    refuses exactly the tables in which the label loop finds an entry that
+    is not an element, and names the same first one in row order."""
+    carrier, rows = table
+    try:
+        group = FiniteGroup(carrier, rows)
+    except ValueError as exc:
+        # Before it finds a stray entry the label loop reads only these two.
+        want = oracle.validate_group(SimpleNamespace(carrier=carrier, table=rows))
+        assert (str(exc), want.reason) == (f"Cayley entry {want.witness!r} is not an element",
+                                           f"product {want.witness!r} not an element")
+        return None, want
+    want = oracle.validate_group(group)
+    assert not want.reason.endswith("not an element")
+    return group, want
+
+
+NONE_LABELLED = ((Carrier((None, 1)), ((None, 1), (1, None))),
+                 (Carrier(("e", None)), (("e", None), (None, "e"))))
+# The first stray in row order is "c"; the last in its row is "b", and the
+# first in column order "a".
+STRAYS = (Carrier((0, 1, 2)), ((0, "c", "b"), ("a", 2, 0), (2, 0, 1)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(tables())
 @example(NONE_LABELLED[0])
 @example(NONE_LABELLED[1])
-def test_validate_group_matches_triple_loop(group):
-    got, want = validate_group(group), oracle.validate_group(group)
-    assert (got.ok, got.reason, repr(got.witness)) == (want.ok, want.reason, repr(want.witness))
+@example(STRAYS)
+def test_validate_group_matches_triple_loop(table):
+    group, want = group_of(table)
+    if group is not None:
+        got = validate_group(group)
+        assert (got.ok, got.reason, repr(got.witness)) == (want.ok, want.reason, repr(want.witness))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.sampled_from(GROUPS), tables()))
+@given(st.one_of(st.sampled_from(TABLES), tables()))
 @example(NONE_LABELLED[0])
 @example(NONE_LABELLED[1])
-def test_identity_and_inverses_are_read_off_the_table(group):
+def test_identity_and_inverses_are_read_off_the_table(table):
     """Against their definitions on labels: the e with ex = x = xe for every
     x, which is unique when it exists, and per x the first y in carrier
     order with xy = e = yx; None where there is none."""
+    group, _ = group_of(table)
+    if group is None:
+        return
     elems = group.carrier.elements
     units = [e for e in elems if all(group.op(e, x) == x == group.op(x, e) for x in elems)]
     assert len(units) <= 1
@@ -99,18 +131,14 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc), repr(getattr(exc, "witness", None))
 
 
-def closed_with_inverses(group):
-    return (all(v in group.carrier for row in group.table for v in row)
-            and None not in group.inverses)
-
-
-@st.composite
-def groups(draw):
+def groups(data):
     """A catalog group, or one with replaced Cayley entries but no stray
     label, an identity and an inverse for every element, so perhaps not
     associative: every scan but validate_group's reads the index table and
     the inverses."""
-    return draw(st.one_of(st.sampled_from(GROUPS), tables().filter(closed_with_inverses)))
+    group, _ = group_of(data.draw(st.one_of(st.sampled_from(TABLES), tables())))
+    assume(group is not None and None not in group.inverses)
+    return group
 
 
 @st.composite
@@ -160,7 +188,7 @@ def test_fuzzy_subgroup_scans_match_label_loops(data):
     """Equal on every group.  The label loop also scans inverses, which the
     product condition covers only in a group: on a table that is not one
     the kernel passes where the loop fails on an inverse."""
-    group = data.draw(groups())
+    group = groups(data)
     mu = data.draw(graded(group))
     got, want = is_fuzzy_subgroup(mu, group), oracle.is_fuzzy_subgroup(mu, group)
     if want.witness is not None and want.witness[0] == "inverse":
@@ -186,7 +214,7 @@ def test_product_condition_implies_inverse_condition(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_subgroup_checks_match_label_loops(data):
-    group = data.draw(groups())
+    group = groups(data)
     elements = data.draw(subsets(group))
     assert same(check_subgroup(group, elements), oracle.check_subgroup(group, elements))
     if group in GROUPS:
@@ -217,8 +245,9 @@ def components(action) -> list:
 def actions(draw, stray=True):
     """A catalog group acting on the cosets of one or two subgroups side by
     side, with points in a drawn order and a few entries replaced (breaking
-    the composition law), now and then by a point outside the space, or
-    now and then collapsed onto one point."""
+    the composition law), now and then by one or two points outside the
+    space, or now and then collapsed onto one point.  Returns the constructor's
+    arguments, which it may refuse."""
     group = draw(st.sampled_from(GROUPS))
     space, rows = [], [[] for _ in group.carrier]
     for tag in range(draw(st.integers(1, 2))):
@@ -234,8 +263,9 @@ def actions(draw, stray=True):
     for g, x in draw(st.lists(cell, max_size=3)):
         rows[g][x] = draw(st.sampled_from(space))
     if stray and draw(st.integers(0, 9)) == 0:
-        g, x = draw(cell)
-        rows[g][x] = "out"
+        for label in ("out", "away")[:draw(st.integers(1, 2))]:
+            g, x = draw(cell)
+            rows[g][x] = label
     grades = draw(st.lists(st.sampled_from([F(0), F(1, 2), F(1)]),
                            min_size=len(space), max_size=len(space)))
     if draw(st.integers(0, 9)) == 0:
@@ -244,7 +274,12 @@ def actions(draw, stray=True):
         rows = [[space[0]] * len(space) for _ in rows]
         grades = [F(1)] + [F(0)] * (len(space) - 1)
     carrier = Carrier(tuple(space))
-    return FiniteAction(group, carrier, FuzzySet(carrier, tuple(grades)), rows)
+    return group, carrier, FuzzySet(carrier, tuple(grades)), rows
+
+
+def valid_actions():
+    """Actions whose every entry is a point of the space, built."""
+    return actions(stray=False).map(lambda args: FiniteAction(*args))
 
 
 @st.composite
@@ -278,14 +313,28 @@ def relations(draw, action):
 
 # Every g.x = p, with p alone in the ambient's support: only e.q = p fails.
 PQ = Carrier(("p", "q"))
-COLLAPSE = FiniteAction(cyclic_group(2), PQ, FuzzySet(PQ, (1, 0)), (("p", "p"), ("p", "p")))
+COLLAPSE = (cyclic_group(2), PQ, FuzzySet(PQ, (1, 0)), (("p", "p"), ("p", "p")))
+# The first point outside the space in row order is "y", the last in its row "x".
+OFF_SPACE = (cyclic_group(2), PQ, FuzzySet.ones(PQ), (("p", "q"), ("y", "x")))
 
 
 @settings(max_examples=200, deadline=None)
 @given(actions())
 @example(COLLAPSE)
-def test_verify_action_matches_label_loop(action):
-    assert same(verify_action(action), oracle.verify_action(action))
+@example(OFF_SPACE)
+def test_verify_action_matches_label_loop(args):
+    """The constructor refuses exactly the tables in which the label loop
+    finds a point outside the space, and names the same first one."""
+    try:
+        action = FiniteAction(*args)
+    except ValueError as exc:
+        _, space, _, rows = args
+        # Before it finds a stray point the label loop reads only these two.
+        want = oracle.verify_action(SimpleNamespace(space=space, table=rows))
+        assert (str(exc), want.reason) == (f"action value {want.witness!r} is not a space point",
+                                           f"action leaves the space at {want.witness!r}")
+    else:
+        assert same(verify_action(action), oracle.verify_action(action))
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,7 +344,7 @@ def test_what_is_built_from_an_action_is_an_action(data):
     and coset_action build from an action that passes verify_action, when
     they do not raise, passes too; so a caller that has checked the action
     need not check what it builds."""
-    action = data.draw(actions(stray=False))
+    action = data.draw(valid_actions())
     assume(verify_action(action).ok)
     builds = [
         lambda: restrict_to_subgroup(action, data.draw(subsets(action.group))),
@@ -314,7 +363,7 @@ def test_what_is_built_from_an_action_is_an_action(data):
 def test_invariance_and_restrictions_match_label_loops(data):
     """The index scans read the action table, so these actions stay in their
     space, as every action that passed verify_action or the parser does."""
-    action = data.draw(actions(stray=False))
+    action = data.draw(valid_actions())
     s = data.draw(fuzzy_subsets(action))
     assert same(is_G_invariant(action, s), oracle.is_G_invariant(action, s))
     assert outcome(restrict_to_invariant, action, s) == outcome(

@@ -49,8 +49,8 @@ class TestConstruction:
             ProperFunction(FuzzySet.ones(XY), FuzzySet.ones(YZ), ("y1", "y2"))
 
     def test_values_in_target(self):
-        with pytest.raises(ValueError):
-            make_map((1, 1, 1), (1, 1), {"x1": "y1", "x2": "y1", "x3": "zz"})
+        with pytest.raises(ValueError, match="^map value 'zz' not in target carrier$"):
+            make_map((1, 1, 1), (1, 1), {"x1": "y1", "x2": "zz", "x3": "zy"})
 
     def test_relation_is_graph_scaled(self):
         assert COLLAPSE.relation("x1", "y1") == F(1, 2)

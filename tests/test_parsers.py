@@ -304,7 +304,7 @@ class TestChartTableFile:
 # message stands for the directory holding the file.  Every row asserts the whole
 # `path:line: message` string, so a reworded or moved error shows up here.
 
-Z2 = FiniteGroup.from_table(("0", "1"), (("0", "1"), ("1", "0")))
+Z2 = FiniteGroup(Carrier(("0", "1")), (("0", "1"), ("1", "0")))
 ABC = Carrier(("a", "b", "c"))
 AUX = {"src.txt": "x1 1\nx2 1\n", "tgt.txt": "y1 1\ny2 1\n", "amb.txt": "a 1\nb 1\n"}
 HEAD = "source: src.txt\ntarget: tgt.txt\n"
