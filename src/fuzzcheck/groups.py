@@ -162,12 +162,6 @@ class FiniteAction:
             indices(self.space, row, "action value {!r} is not a space point")
             for row in self.table))
 
-    @classmethod
-    def from_function(cls, group: FiniteGroup, space: Carrier, act, ambient=None) -> "FiniteAction":
-        ambient = ambient if ambient is not None else FuzzySet.ones(space)
-        table = tuple(tuple(act(g, x) for x in space) for g in group.carrier)
-        return cls(group, space, ambient, table)
-
     def act(self, g, x):
         return self.table[self.group.carrier.index(g)][self.space.index(x)]
 
@@ -280,18 +274,8 @@ class EquivalenceRelation:
                     raise ValueError(f"element {x!r} in two classes")
                 seen.add(x)
 
-    @classmethod
-    def identity_on(cls, space: Carrier) -> "EquivalenceRelation":
-        return cls(tuple((x,) for x in space))
-
     def covers(self, space: Carrier) -> bool:
         return {x for c in self.classes for x in c} == set(space.elements)
-
-    def class_of(self, x):
-        for c in self.classes:
-            if x in c:
-                return c
-        raise KeyError(f"{x!r} not in any class")
 
 
 def quotient_action(action: FiniteAction, rho: EquivalenceRelation) -> FiniteAction:

@@ -86,15 +86,6 @@ def bracket(sc: StructureConstants, x, y) -> tuple:
     return tuple(Fraction(v, sc.scale) for v in _walk(sc, x, y))
 
 
-def vec_add(x, y) -> tuple:
-    return tuple(a + b for a, b in zip(_vec(x), _vec(y)))
-
-
-def vec_scale(alpha, x) -> tuple:
-    alpha = Fraction(alpha)
-    return tuple(alpha * a for a in _vec(x))
-
-
 def validate_lie(sc: StructureConstants) -> Verdict:
     """Antisymmetry of the constants and the Jacobi identity on all basis
     triples; bilinearity is structural in this representation.

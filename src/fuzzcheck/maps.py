@@ -38,14 +38,6 @@ class ProperFunction:
         object.__setattr__(self, "_ints", indices(
             self.target.carrier, self.images, "map value {!r} not in target carrier"))
 
-    @classmethod
-    def from_dict(cls, source: FuzzySet, target: FuzzySet, mapping: dict) -> "ProperFunction":
-        try:
-            images = tuple(mapping[x] for x in source.carrier)
-        except KeyError as exc:
-            raise ValueError(f"map not defined at {exc.args[0]!r}") from None
-        return cls(source, target, images)
-
     def of(self, x):
         return self.images[self.source.carrier.index(x)]
 
@@ -68,11 +60,6 @@ def image(f: ProperFunction, a: FuzzySet) -> FuzzySet:
     if a.carrier != f.source.carrier:
         raise CarrierMismatchError("A must live on the source carrier")
     is_subset(a, f.source).require("A exceeds its bound")
-    return _image(f, a)
-
-
-def _image(f: ProperFunction, a: FuzzySet) -> FuzzySet:
-    """`image` for an A already known to lie under the source."""
     out = [0] * len(f.target.carrier)
     for y, n in zip(f._ints, a.nums):
         if n > out[y]:
@@ -85,11 +72,6 @@ def preimage(f: ProperFunction, b: FuzzySet) -> FuzzySet:
     if b.carrier != f.target.carrier:
         raise CarrierMismatchError("B must live on the target carrier")
     is_subset(b, f.target).require("B exceeds its bound")
-    return _preimage(f, b)
-
-
-def _preimage(f: ProperFunction, b: FuzzySet) -> FuzzySet:
-    """`preimage` for a B already known to lie under the target."""
     den = math.lcm(f.source.den, b.den)
     pulled = b.over(den)
     nums = tuple(min(n, pulled[y]) for n, y in zip(f.source.over(den), f._ints))
@@ -104,13 +86,6 @@ def classify(f: ProperFunction) -> MapFlags:
     missed = [y for y, n in enumerate(f.target.nums) if n and y not in hit]
     witness = f.target.carrier.elements[missed[0]] if missed else None
     return MapFlags(injective, not missed, injective and not missed, witness)
-
-
-def compose(f: ProperFunction, g: ProperFunction) -> ProperFunction:
-    """g after f; requires f's target to be g's source."""
-    if f.target != g.source:
-        raise CarrierMismatchError("target of first map must equal source of second")
-    return ProperFunction(f.source, g.target, tuple(g.images[y] for y in f._ints))
 
 
 def is_fuzzy_homomorphism(f: ProperFunction, group_src, group_tgt) -> Verdict:

@@ -120,9 +120,10 @@ def load_fuzzy_set(path, carrier: Carrier | None = None) -> FuzzySet:
     return FuzzySet.from_map(carrier, grades)
 
 
-def load_map(path) -> tuple:
-    """`source: <set file>` and `target: <set file>` headers, each once, then
-    one `x -> y` line per source element.  Paths resolve relative to the file."""
+def load_map(path) -> ProperFunction:
+    """The `ProperFunction` from `source: <set file>` and `target: <set file>`
+    headers, each once, then one `x -> y` line per source element.  Paths
+    resolve relative to the file."""
     base = os.path.dirname(os.path.abspath(path))
     paths = {}  # header -> (set file, line number)
     mapping = {}  # x -> (y, line number)

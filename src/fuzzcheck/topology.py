@@ -8,9 +8,9 @@ so arbitrary unions reduce to pairwise ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 
 from .errors import CarrierMismatchError, ResourceCapError
@@ -18,7 +18,7 @@ from .errors import CarrierMismatchError, ResourceCapError
 # `union`, `intersection`, `image` and `preimage` stay bound in this module
 # even where unused: perfbench/tracing.py counts their calls by wrapping
 # these module attributes.
-from .maps import ProperFunction, _image, _preimage, classify, image, preimage  # noqa: F401
+from .maps import ProperFunction, classify, image, preimage  # noqa: F401
 from .sets import FuzzySet, Verdict, format_grade, intersection, is_subset, union  # noqa: F401
 
 DEFAULT_CLOSURE_CAP = 10**6
@@ -36,9 +36,6 @@ class GradeLattice:
 
     def members(self) -> tuple:
         return tuple(Fraction(k, self.q) for k in range(self.q + 1))
-
-    def contains(self, g: Fraction) -> bool:
-        return 0 <= g <= 1 and (g * self.q).denominator == 1
 
     def contains_set(self, s: FuzzySet) -> bool:
         return self.q % s.den == 0
@@ -61,7 +58,7 @@ class _IntView:
         if any(s.carrier != carrier for s in tau.opens):
             raise CarrierMismatchError("an open lives on another carrier than the ambient set")
         self.q = q = tau.lattice.q
-        scale = math.lcm(q, tau.ambient.den, *{s.den for s in tau.opens})
+        self.scale = scale = math.lcm(q, tau.ambient.den, *{s.den for s in tau.opens})
         self.step = scale // q
         self.ambient = tau.ambient.over(scale)
         # Numerators over one positive scale order like the grades themselves.
@@ -76,16 +73,16 @@ class _IntView:
         self.codes = [self.code(k) for k in self.keys]  # aligned with `opens`
         self.codeset = frozenset(self.codes)
 
-    def code(self, key: tuple):
-        """The code of a numerator tuple; None when some coordinate holds a
-        value no open holds there."""
+    def code(self, key: tuple, bits=None):
+        """The code of a numerator tuple, looked up in `bits` (by default the
+        view's own); None when some coordinate holds a value no open holds there."""
         try:
-            return sum(b[x] for b, x in zip(self.bits, key))
+            return sum(b[x] for b, x in zip(bits or self.bits, key))
         except KeyError:
             return None
 
-    def is_open(self, key: tuple) -> bool:
-        return self.code(key) in self.codeset
+    def is_open(self, key: tuple, bits=None) -> bool:
+        return self.code(key, bits) in self.codeset
 
     def heights(self) -> list:
         """Per carrier element x, the k with 0 < k/q <= ambient(x)."""
@@ -97,6 +94,10 @@ class FuzzyTopology:
     ambient: FuzzySet
     opens: frozenset  # of FuzzySet, each <= ambient
     lattice: GradeLattice
+    _ints: _IntView = field(init=False, repr=False, compare=False)  # what the scans read
+
+    def __post_init__(self):
+        object.__setattr__(self, "_ints", _IntView(self))
 
     @classmethod
     def literal(cls, ambient: FuzzySet, opens: list, lattice: GradeLattice,
@@ -114,10 +115,6 @@ class FuzzyTopology:
     def sorted_opens(self) -> list:
         """Opens in a canonical order (by grade tuple); used for determinism."""
         return list(self._ints.opens)
-
-    @cached_property
-    def _ints(self) -> _IntView:
-        return _IntView(self)
 
 
 def _require_cap(cap: int) -> None:
@@ -298,16 +295,26 @@ def check_map(f: ProperFunction, tau_src: FuzzyTopology, tau_tgt: FuzzyTopology)
         raise CarrierMismatchError("map source must be the source topology's ambient set")
     if f.target != tau_tgt.ambient:
         raise CarrierMismatchError("map target must be the target topology's ambient set")
-    # Every open lies under its ambient, so the unchecked kernels serve.
+    vs, vt = tau_src._ints, tau_tgt._ints
+    s, t = vs.scale, vt.scale
+    # Preimages and images as numerators over s*t: one that is no multiple of
+    # a family's own scale is no grade of its opens, so no key of its bits.
+    src_bits, tgt_bits = ([{x * k: b for x, b in xs.items()} for xs in v.bits]
+                          for v, k in ((vs, t), (vt, s)))
     witness = None
     continuous = True
-    for nu in tau_tgt.sorted_opens():
-        if _preimage(f, nu) not in tau_src.opens:
+    for nu, key in zip(vt.opens, vt.keys):
+        pulled = tuple(min(a * t, key[y] * s) for a, y in zip(vs.ambient, f._ints))
+        if not vs.is_open(pulled, src_bits):
             continuous, witness = False, ("preimage", nu)
             break
     is_open = True
-    for delta in tau_src.sorted_opens():
-        if _image(f, delta) not in tau_tgt.opens:
+    for delta, key in zip(vs.opens, vs.keys):
+        sup = [0] * len(vt.ambient)  # of delta over each fiber, over s
+        for y, n in zip(f._ints, key):
+            if n > sup[y]:
+                sup[y] = n
+        if not vt.is_open(tuple(n * t for n in sup), tgt_bits):
             is_open = False
             if witness is None:
                 witness = ("image", delta)

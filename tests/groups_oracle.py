@@ -5,6 +5,7 @@ oracles: every law is tested on labels through `FiniteGroup.op`,
 from fuzzcheck.errors import CarrierMismatchError, DominationError
 from fuzzcheck.groups import FiniteAction, FiniteGroup
 from fuzzcheck.sets import Carrier, FuzzySet, Verdict, format_grade, level_set
+from helpers import action_from_function, class_of
 
 
 def validate_group(group: FiniteGroup) -> Verdict:
@@ -165,7 +166,7 @@ def restrict_to_subgroup(action: FiniteAction, elements) -> FiniteAction:
     if not v:
         raise DominationError(f"not a subgroup: {v.reason}", witness=v.witness)
     h = subgroup_of(action.group, elements)
-    return FiniteAction.from_function(h, action.space, action.act, action.ambient)
+    return action_from_function(h, action.space, action.act, action.ambient)
 
 
 def restrict_to_invariant(action: FiniteAction, s: FuzzySet) -> FiniteAction:
@@ -181,7 +182,7 @@ def restrict_to_invariant(action: FiniteAction, s: FuzzySet) -> FiniteAction:
                 raise DominationError(
                     f"action leaves the support at ({g!r},{x!r})", witness=(g, x)
                 )
-    return FiniteAction.from_function(action.group, space, action.act, ambient)
+    return action_from_function(action.group, space, action.act, ambient)
 
 
 def quotient_action(action: FiniteAction, rho) -> FiniteAction:
@@ -189,16 +190,16 @@ def quotient_action(action: FiniteAction, rho) -> FiniteAction:
         raise ValueError("relation classes must partition the action space")
     for g in action.group.carrier:
         for c in rho.classes:
-            rep = rho.class_of(action.act(g, c[0]))
+            rep = class_of(rho, action.act(g, c[0]))
             for x in c[1:]:
-                if rho.class_of(action.act(g, x)) != rep:
+                if class_of(rho, action.act(g, x)) != rep:
                     raise DominationError(
                         f"relation not preserved at ({g!r},{c[0]!r},{x!r})",
                         witness=(g, c[0], x),
                     )
     space = Carrier(rho.classes)
-    return FiniteAction.from_function(
-        action.group, space, lambda g, c: rho.class_of(action.act(g, c[0]))
+    return action_from_function(
+        action.group, space, lambda g, c: class_of(rho, action.act(g, c[0]))
     )
 
 
@@ -221,4 +222,4 @@ def coset_action(group: FiniteGroup, subgroup_elements) -> FiniteAction:
         rep = group.op(g, coset[0])
         return next(c for c in cosets if rep in c)
 
-    return FiniteAction.from_function(group, space, act)
+    return action_from_function(group, space, act)

@@ -14,7 +14,6 @@ from fractions import Fraction as F
 from fuzzcheck.cli import execute
 from fuzzcheck.groups import (
     EquivalenceRelation,
-    FiniteAction,
     catalog,
     coset_action,
     cyclic_group,
@@ -33,7 +32,7 @@ from fuzzcheck.manifold import (
     gl_demo,
     transition_map,
 )
-from fuzzcheck.maps import ProperFunction, compose, image, preimage
+from fuzzcheck.maps import ProperFunction, image, preimage
 from fuzzcheck.sets import Carrier, FuzzySet, is_subset
 from fuzzcheck.topology import (
     DEFAULT_CLOSURE_CAP,
@@ -43,6 +42,7 @@ from fuzzcheck.topology import (
     verify_axioms,
 )
 from groups_oracle import level_subgroup_oracle, subgroup_closure
+from helpers import action_from_function, compose
 
 
 def _verdict(number: int, title: str, ok: bool):
@@ -193,7 +193,7 @@ def test_criterion_6_identity_and_composition_continuity():
 def test_criterion_7_action_suite():
     s3 = symmetric_group(3)
     space = Carrier((1, 2, 3))
-    natural = FiniteAction.from_function(s3, space, lambda p, x: p[x - 1] + 1)
+    natural = action_from_function(s3, space, lambda p, x: p[x - 1] + 1)
     ok = verify_action(natural).ok
 
     rng = random.Random(707)
@@ -207,7 +207,7 @@ def test_criterion_7_action_suite():
         ok = ok and is_G_invariant(action, FuzzySet.constant(action.space, level)).ok
 
     z4 = cyclic_group(4)
-    translation = FiniteAction.from_function(z4, z4.carrier, z4.op)
+    translation = action_from_function(z4, z4.carrier, z4.op)
     quotient = quotient_action(translation, EquivalenceRelation(((0, 2), (1, 3))))
     ok = ok and verify_action(quotient).ok
 

@@ -29,6 +29,7 @@ from fuzzcheck.groups import (
     verify_action,
 )
 from fuzzcheck.sets import Carrier, FuzzySet
+from helpers import action_from_function
 
 GROUPS = list(catalog().values()) + [symmetric_group(4), dihedral_group(6)]
 TABLES = [(group.carrier, group.table) for group in GROUPS]
@@ -383,7 +384,7 @@ def test_s5_on_itself_is_fast():
     for the composition law.  On a 2-core VM they take about 0.01 s and
     0.04 s, and the label loops in groups_oracle.py 0.7 s and 1.7 s."""
     s5 = symmetric_group(5)
-    action = FiniteAction.from_function(s5, s5.carrier, s5.op)
+    action = action_from_function(s5, s5.carrier, s5.op)
     s = FuzzySet.constant(action.space, F(1, 2))
     for check in (lambda: is_G_invariant(action, s), lambda: verify_action(action)):
         start = time.perf_counter()

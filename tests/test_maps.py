@@ -9,12 +9,12 @@ from fuzzcheck.groups import cyclic_group
 from fuzzcheck.maps import (
     ProperFunction,
     classify,
-    compose,
     image,
     is_fuzzy_homomorphism,
     preimage,
 )
 from fuzzcheck.sets import Carrier, FuzzySet, intersection, is_subset, union
+from helpers import compose, map_from_dict
 
 XY = Carrier(("x1", "x2", "x3"))
 YZ = Carrier(("y1", "y2"))
@@ -33,7 +33,7 @@ def below(ambient):
 def make_map(src_grades, tgt_grades, mapping):
     src = FuzzySet(XY, tuple(F(g) for g in src_grades))
     tgt = FuzzySet(YZ, tuple(F(g) for g in tgt_grades))
-    return ProperFunction.from_dict(src, tgt, mapping)
+    return map_from_dict(src, tgt, mapping)
 
 
 COLLAPSE = make_map(
@@ -132,13 +132,13 @@ class TestClassify:
 
     def test_bijective(self):
         src = FuzzySet.ones(YZ)
-        f = ProperFunction.from_dict(src, src, {"y1": "y2", "y2": "y1"})
+        f = map_from_dict(src, src, {"y1": "y2", "y2": "y1"})
         assert classify(f).bijective
 
 
 class TestCompose:
     def test_pointwise(self):
-        swap = ProperFunction.from_dict(
+        swap = map_from_dict(
             COLLAPSE.target, COLLAPSE.target, {"y1": "y2", "y2": "y1"})
         h = compose(COLLAPSE, swap)
         assert h.of("x1") == "y2" and h.of("x3") == "y1"
@@ -148,7 +148,7 @@ class TestCompose:
             compose(COLLAPSE, COLLAPSE)
 
     def test_preimage_contravariant(self):
-        swap = ProperFunction.from_dict(
+        swap = map_from_dict(
             COLLAPSE.target, COLLAPSE.target, {"y1": "y2", "y2": "y1"})
         b = FuzzySet(YZ, (F(1, 3), F(2, 3)))
         assert preimage(compose(COLLAPSE, swap), b) == preimage(
@@ -158,14 +158,14 @@ class TestCompose:
 class TestGroupCompatibility:
     def test_mod_two_reduction(self):
         z4, z2 = cyclic_group(4), cyclic_group(2)
-        f = ProperFunction.from_dict(
+        f = map_from_dict(
             FuzzySet.ones(z4.carrier), FuzzySet.ones(z2.carrier),
             {x: x % 2 for x in z4.carrier})
         assert is_fuzzy_homomorphism(f, z4, z2).ok
 
     def test_non_compatible_witness(self):
         z4, z2 = cyclic_group(4), cyclic_group(2)
-        f = ProperFunction.from_dict(
+        f = map_from_dict(
             FuzzySet.ones(z4.carrier), FuzzySet.ones(z2.carrier),
             {0: 0, 1: 1, 2: 1, 3: 0})
         v = is_fuzzy_homomorphism(f, z4, z2)
@@ -195,7 +195,7 @@ class TestGuards:
         assert err.value.args[0] == message
 
     def test_map_undefined_at_a_point(self):
-        self.raises(ValueError, "map not defined at 'x3'", ProperFunction.from_dict,
+        self.raises(ValueError, "map not defined at 'x3'", map_from_dict,
                     FuzzySet.ones(XY), FuzzySet.ones(YZ), {"x1": "y1", "x2": "y2"})
 
     def test_preimage_of_a_set_on_another_carrier(self):
@@ -208,7 +208,7 @@ class TestGuards:
     ])
     def test_homomorphism_carriers_must_be_the_groups(self, groups, message):
         z4, z2 = cyclic_group(4), cyclic_group(2)
-        f = ProperFunction.from_dict(
+        f = map_from_dict(
             FuzzySet.ones(z4.carrier), FuzzySet.ones(z2.carrier),
             {x: x % 2 for x in z4.carrier})
         self.raises(CarrierMismatchError, message,

@@ -175,7 +175,7 @@ class TestRelationFile:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "rho.txt", "p q\nr\n")
         rel = load_relation(path, Carrier(("p", "q", "r")))
-        assert rel.class_of("q") == ("p", "q")
+        assert rel.classes == (("p", "q"), ("r",))
 
     def test_must_cover(self, tmp_path):
         path = write(tmp_path, "rho.txt", "p\n")
