@@ -74,9 +74,9 @@ def _tolerances(args, fields=None) -> manifold.Tolerances:
         except ValueError:
             v = math.nan  # not a number: rejected below like NaN
         # NaN fails every comparison and would switch its check off; a zero step divides by 0.
-        if not math.isfinite(v) or v < 0 or (v == 0 and name in ("h0", "h_min")):
+        if not math.isfinite(v) or v < 0 or (v == 0 and name == "h0"):
             raise FuzzcheckError(
-                f"tolerance {name} must be finite and >= 0 (> 0 for h0 and h_min), got {value}")
+                f"tolerance {name} must be finite and >= 0 (> 0 for h0), got {value}")
         overrides[name] = v
     return manifold.Tolerances(**overrides)
 

@@ -16,13 +16,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+H_REF = 1e-5  # the step at which eps_deriv holds as given; at step h it scales by (h/H_REF)^2
+
 
 @dataclass(frozen=True)
 class Tolerances:
     eps_inv: float = 1e-9        # coord o coord_inverse round-trip error
-    eps_deriv: float = 1e-6      # finite-difference stability, relative, at h = h_min
+    eps_deriv: float = 1e-6      # finite-difference stability, relative, at h = H_REF
     h0: float = 1e-3             # initial central-difference step (two halvings follow)
-    h_min: float = 1e-5          # reference step for scaling the stability tolerance
     cover_eps: float = 0.0       # allowed cover deficiency
     lipschitz_cap: float = 1e3   # max |dD/ds| between adjacent derivative samples
     edge_margin_frac: float = 0.05  # fraction of a component span skipped at its edges
@@ -190,7 +191,7 @@ def check_c1_diffeo(fn: Callable[[float], float], grid, tol: Tolerances = Tolera
 
     Grid cells touching a declared seam or a component edge are skipped: the
     piecewise chart formulas end there and central differences would straddle
-    the break.  The stability tolerance is eps_deriv scaled by (h/h_min)^2,
+    the break.  The stability tolerance is eps_deriv scaled by (h/H_REF)^2,
     matching the h^2 truncation error of central differences.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
@@ -218,7 +219,7 @@ def check_c1_diffeo(fn: Callable[[float], float], grid, tol: Tolerances = Tolera
         if len(pts) < 3:
             continue
         h = tol.h0
-        scale = tol.eps_deriv * (h / tol.h_min) ** 2
+        scale = tol.eps_deriv * (h / H_REF) ** 2
         derivs = []
         for s in pts:
             d2 = _central(fn, s, h / 2.0)
@@ -372,48 +373,31 @@ def circle_psi_atlas(n_samples: int = 1024, tol: Tolerances = Tolerances()) -> A
 
 
 # ---------------------------------------------------------------------------
-# Product atlases (factor-wise charts; transitions are componentwise).
+# Product atlases: a chart of each factor, with membership min(m(p), n(q)),
+# over the samples (p, q), p outer.  Transitions are componentwise.
 
-@dataclass(frozen=True)
-class ProductChart:
-    """A membership only, for the cover check: transitions are checked
-    factor-wise on the two factor atlases."""
-
-    label: str
-    first: SampledChart
-    second: SampledChart
-
-    def membership(self, point) -> float:
-        return min(self.first.membership(point[0]), self.second.membership(point[1]))
-
-
-@dataclass(frozen=True, kw_only=True)
-class ProductAtlas(Atlas):
-    """The atlas of product charts over the product samples, with its two
-    factors kept for the factor-wise transition checks."""
-
-    first: Atlas
-    second: Atlas
-
-
-def product_atlas(a: Atlas, b: Atlas) -> ProductAtlas:
-    charts = tuple(
-        ProductChart(f"{ca.label}*{cb.label}", ca, cb)
-        for ca in a.charts
-        for cb in b.charts
-    )
-    samples = tuple((p, q) for p in a.samples for q in b.samples)
-    return ProductAtlas(charts, samples, a.tolerances, first=a, second=b)
-
-
-def check_product_atlas(pa: ProductAtlas, normalize_cover: bool = False) -> AtlasReport:
-    """Cover on the product grid; transitions checked factor-wise, which is
-    exactly what the componentwise coordinate maps decompose into."""
-    cover = check_cover_condition(pa, normalize=normalize_cover)
-    first = check_atlas(pa.first)
-    second = check_atlas(pa.second)
-    pairs = first.pairs + second.pairs
-    return AtlasReport(cover, pairs, first.transitions_ok and second.transitions_ok)
+def check_product_atlas(a: Atlas, b: Atlas, normalize_cover: bool = False) -> AtlasReport:
+    """Transitions checked factor-wise, which is exactly what the
+    componentwise coordinate maps decompose into, and the cover read off the
+    factor covers.  The sup over chart pairs of min(m(p), n(q)) is
+    min(sup m(p), sup n(q)), so a product sample's deficiency is the larger
+    of its factors', and the first worst (p, q), p outer, lies among the
+    factors' first and worst samples."""
+    first = check_atlas(a, normalize_cover=normalize_cover)
+    second = check_atlas(b, normalize_cover=normalize_cover)
+    worst, point = max(first.cover.max_deficiency, second.cover.max_deficiency), None
+    if not (a.samples and b.samples):
+        worst = 0.0
+    elif worst > 0.0:
+        p, q = a.samples[0], b.samples[0]
+        if second.cover.max_deficiency < worst:
+            p = first.cover.worst_point
+        elif cover_deficiency_at(a, p, normalize_cover) < worst:
+            q = second.cover.worst_point
+        point = (p, q)
+    cover = CoverReport(worst <= a.tolerances.cover_eps, worst, point)
+    return AtlasReport(cover, first.pairs + second.pairs,
+                       first.transitions_ok and second.transitions_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Reference implementations of the tabulated-chart checks and of the
-circle demo.
+"""Reference implementations of the tabulated-chart checks, of the circle
+demo and of the product-atlas check.
 
 These are the loop-based table transition check and the tabulated atlas
 check with its own cover loop and overlap filter, as the library had them
@@ -9,7 +9,9 @@ together, so that every transition within an atlas ran twice.  The
 differential tests in `test_manifold_oracle.py` require the library to
 agree with them on every report field, and the CLI on every machine line.
 The table checks divide by zero on a table whose params repeat, so the
-tests draw distinct params only.
+tests draw distinct params only.  The product-atlas check builds every
+product chart and scans the whole product grid with the library's cover
+loop, where the library reads the product cover off the two factor covers.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import numpy as np
 
 from fuzzcheck import manifold
 from fuzzcheck.cli import _tolerances
-from fuzzcheck.manifold import AtlasReport, C1Report, CoverReport, PairCheck, Tolerances
+from fuzzcheck.manifold import (
+    Atlas, AtlasReport, C1Report, CoverReport, PairCheck, SampledChart, Tolerances,
+)
 from fuzzcheck.report import Report
 
 
@@ -110,6 +114,21 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
             pairs.append(PairCheck(f"chart{j}", f"chart{l}", rep))
             ok = ok and rep.ok
     return AtlasReport(cover, pairs, ok)
+
+
+def check_product_atlas(a: Atlas, b: Atlas, normalize_cover: bool = False) -> AtlasReport:
+    """The cover of the atlas of product charts, with membership
+    min(m(p), n(q)), over the samples (p, q), p outer; the transitions
+    checked on each factor."""
+    charts = [SampledChart(f"{ca.label}*{cb.label}",
+                           lambda pq, ca=ca, cb=cb: min(ca.membership(pq[0]), cb.membership(pq[1])),
+                           None, None)
+              for ca in a.charts for cb in b.charts]
+    grid = Atlas(charts, [(p, q) for p in a.samples for q in b.samples], a.tolerances)
+    cover = manifold.check_cover_condition(grid, normalize=normalize_cover)
+    first, second = manifold.check_atlas(a), manifold.check_atlas(b)
+    return AtlasReport(cover, first.pairs + second.pairs,
+                       first.transitions_ok and second.transitions_ok)
 
 
 def cmd_demo_circle(args) -> Report:

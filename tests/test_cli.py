@@ -754,7 +754,7 @@ class TestToleranceValues:
         name, value = item.split("=")
         assert code == 2
         assert lines_of(out)["WITNESS_REASON"] == (
-            f"tolerance {name} must be finite and >= 0 (> 0 for h0 and h_min), got {value}")
+            f"tolerance {name} must be finite and >= 0 (> 0 for h0), got {value}")
 
     def test_item_without_equals_sign_is_two(self):
         code, out = run("demo-circle", "--samples-per-chart", "64",
@@ -783,6 +783,13 @@ class TestToleranceValues:
         plain = run("demo-circle", "--samples-per-chart", "64", "--format", "machine")
         assert run("demo-circle", "--samples-per-chart", "64", "--format", "machine",
                    "--tolerance", f"{field.name}={field.default}") == plain
+
+    def test_h_min_is_no_tolerance(self):
+        """The stability tolerance's reference step is the constant H_REF."""
+        code, out = run("demo-circle", "--samples-per-chart", "64",
+                        "--tolerance", "h_min=1e-5", "--format", "machine")
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"].startswith("unknown tolerance 'h_min'; known:")
 
     def test_rank_rtol_is_no_tolerance(self):
         code, _ = run("demo-circle", "--samples-per-chart", "64",

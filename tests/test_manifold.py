@@ -5,6 +5,7 @@ import pytest
 
 from fuzzcheck.manifold import (
     Atlas,
+    CoverReport,
     SampledChart,
     Tolerances,
     check_atlas,
@@ -18,7 +19,6 @@ from fuzzcheck.manifold import (
     cover_deficiency_at,
     gl_demo,
     numeric_rank,
-    product_atlas,
     transition_map,
 )
 
@@ -169,22 +169,32 @@ class TestAtlasChecks:
 
 class TestProductAtlas:
     def test_torus_from_two_circles(self):
-        pa = product_atlas(circle_phi_atlas(64), circle_phi_atlas(64))
-        rep = check_product_atlas(pa)
+        a, b = circle_phi_atlas(64), circle_phi_atlas(64)
+        rep = check_product_atlas(a, b)
         assert rep.transitions_ok
         assert rep.cover.max_deficiency == pytest.approx(0.5, abs=1e-12)
-        assert check_product_atlas(pa, normalize_cover=True).cover.ok
+        assert check_product_atlas(a, b, normalize_cover=True).cover.ok
 
-    def test_chart_count(self):
-        pa = product_atlas(circle_phi_atlas(64), circle_psi_atlas(64))
-        assert len(pa.charts) == 8
+    @staticmethod
+    def factor(memberships):
+        """One chart, coordinate p, over the samples 0, 1, ... with the given
+        memberships."""
+        samples = tuple(range(len(memberships)))
+        return Atlas((SampledChart("c", dict(zip(samples, memberships)).get, float, None),),
+                     samples)
 
-    def test_product_atlas_is_an_atlas(self):
-        a, b = circle_phi_atlas(16), circle_psi_atlas(16)
-        pa = product_atlas(a, b)
-        assert isinstance(pa, Atlas)
-        assert (pa.first, pa.second, pa.tolerances) == (a, b, a.tolerances)
-        assert len(pa.samples) == 16 * 16
+    # Deficiency 1 - m per factor sample; the product's is the larger of two.
+    @pytest.mark.parametrize("first, second, worst, point", [
+        ([0.5, 1.0, 0.5], [1.0, 0.5], 0.5, (0, 0)),  # both attain at a's first sample
+        ([1.0, 0.5], [1.0, 0.5], 0.5, (0, 1)),       # a's first sample does not attain
+        ([1.0, 0.25], [0.5, 1.0], 0.75, (1, 0)),     # only a attains
+        ([1.0, 1.0], [1.0], 0.0, None),              # covered
+        ([], [0.0], 0.0, None),                      # empty first factor
+        ([0.0], [], 0.0, None),                      # empty second factor
+    ])
+    def test_first_worst_point_from_the_factors(self, first, second, worst, point):
+        cover = check_product_atlas(self.factor(first), self.factor(second)).cover
+        assert cover == CoverReport(worst == 0.0, worst, point)
 
 
 class TestTabulatedCharts:

@@ -3,7 +3,8 @@ reference in `manifold_oracle.py`.  Verdicts, reasons, witnesses, the
 largest derivative jump, checked-point counts and cover reports must be
 equal on random tables with kinks, gaps and dips.  The `demo-circle`
 command's machine output must equal the reference handler's, which checks
-each atlas on its own before checking both together."""
+each atlas on its own before checking both together.  The product-atlas
+check must equal the reference's scan of the whole product grid."""
 
 import contextlib
 import io
@@ -27,6 +28,10 @@ TOLERANCES = st.builds(
 
 def _fields(rep):
     return rep.ok, rep.reason, rep.witness, rep.max_derivative_jump, rep.checked_points
+
+
+def _pairs(atlas_report):
+    return [(p.source_label, p.target_label, _fields(p.report)) for p in atlas_report.pairs]
 
 
 @st.composite
@@ -88,8 +93,58 @@ def test_tabulated_atlas_matches_reference(charts, tol, normalize):
     want = oracle.check_tabulated_atlas(charts, tol, normalize_cover=normalize)
     assert got.cover == want.cover
     assert got.transitions_ok == want.transitions_ok
-    assert [(p.source_label, p.target_label, _fields(p.report)) for p in got.pairs] == \
-        [(p.source_label, p.target_label, _fields(p.report)) for p in want.pairs]
+    assert _pairs(got) == _pairs(want)
+
+
+# Few grades, so that dips, equal worst deficiencies within a factor and
+# across the two recur; 0.1, 1/3 and 0.7 round when subtracted from 1.
+GRADES = [0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.0]
+
+
+@st.composite
+def sampled_factors(draw, tol):
+    """One to three charts without inverse formulas over 0 to 12 samples,
+    possibly none, with memberships drawn from GRADES.  Optionally every
+    chart misses one sample, the first or another: a dip to deficiency 1,
+    which makes that sample the factor's worst and ties with a dip in the
+    other factor."""
+    samples = tuple(draw(st.permutations(range(draw(st.integers(0, 12))))))
+    dip = draw(st.one_of(st.none(), st.just(0), st.integers(0, 11)))
+    charts = []
+    for j in range(draw(st.integers(1, 3))):
+        grades = draw(st.lists(st.sampled_from(GRADES), min_size=len(samples),
+                               max_size=len(samples)))
+        if dip is not None and dip < len(samples):
+            grades[dip] = 0.0
+        params = list(draw(st.permutations(range(len(samples)))))
+        if draw(st.booleans()):
+            params.sort()
+        charts.append(manifold.SampledChart(
+            f"c{j}", dict(zip(samples, grades)).get, dict(zip(samples, map(float, params))).get,
+            None))
+    return manifold.Atlas(charts, samples, tol)
+
+
+def circle_factors(tol):
+    return st.builds(lambda make, n: make(n, tol),
+                     st.sampled_from([manifold.circle_phi_atlas, manifold.circle_psi_atlas]),
+                     st.sampled_from([4, 7, 16, 64]))
+
+
+def factors(tol):
+    return st.one_of(sampled_factors(tol), circle_factors(tol))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([0.0, 0.3, 0.75]).map(lambda eps: Tolerances(cover_eps=eps))
+       .flatmap(lambda tol: st.tuples(factors(tol), factors(tol))), st.booleans())
+def test_product_atlas_matches_product_grid(atlases, normalize):
+    a, b = atlases
+    got = manifold.check_product_atlas(a, b, normalize_cover=normalize)
+    want = oracle.check_product_atlas(a, b, normalize_cover=normalize)
+    assert got.cover == want.cover
+    assert got.transitions_ok == want.transitions_ok
+    assert _pairs(got) == _pairs(want)
 
 
 def _run(argv):

@@ -119,6 +119,30 @@ def test_scans_match_reference_on_literal_families(tau):
 
 
 @st.composite
+def wide_setups(draw):
+    """(ambient, generators, lattice) on 300 to 1,000 points with q <= 3 and
+    at most two random generators, the ambient full or with some lower
+    grades.  The grades come from a drawn seed, so that an example shrinks
+    by its seed and not by a thousand draws."""
+    n = draw(st.integers(300, 1000))
+    q = draw(st.sampled_from([2, 3, 1]))
+    full = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    top = [q if full or rng.random() < 0.7 else rng.randint(0, q) for _ in range(n)]
+    # Two generators first: they give the most opens.
+    gens = [[rng.randint(0, a) for a in top] for _ in range(draw(st.sampled_from([2, 1, 0])))]
+    carrier = Carrier(tuple(f"e{i}" for i in range(n)))
+    ambient = FuzzySet(carrier, tuple(F(a, q) for a in top))
+    return ambient, [FuzzySet(carrier, tuple(F(a, q) for a in g)) for g in gens], GradeLattice(q)
+
+
+@settings(max_examples=8, deadline=None)
+@given(wide_setups())
+def test_generate_matches_reference_closure_on_wide_carriers(setup):
+    assert generate(*setup).opens == oracle.generate(*setup).opens
+
+
+@st.composite
 def map_cases(draw):
     """(f, tau_src, tau_tgt): a crisp map between the ambients of two
     `literal_families`, each open cut down under its ambient.  The two sides
