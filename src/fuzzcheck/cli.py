@@ -149,12 +149,7 @@ def cmd_check_topology(args) -> Report:
 def cmd_check_separation(args) -> Report:
     """check-t1 and check-hausdorff."""
     tau = _build_topology(args.topology, args)
-    # Looked up at call time, as perfbench/tracing.py wraps these attributes.
-    check, provenance = {
-        "check-t1": (is_T1, "fuzzy-t1-separation"),
-        "check-hausdorff": (is_hausdorff, "fuzzy-hausdorff-separation"),
-    }[args.command]
-    return _verdict_report(args.command, provenance, check(tau),
+    return _verdict_report(args.command, args.provenance, args.check(tau),
                            metrics={"opens": len(tau.opens)})
 
 
@@ -241,12 +236,7 @@ def cmd_check_lie_predicate(args) -> Report:
     mu = load_classifier(args.classifier, sc.dim)
     samples = (load_samples(args.samples, sc.dim) if args.samples
                else lie.cross_product_fixture()[2])
-    # Looked up at call time, as perfbench/tracing.py wraps these attributes.
-    check, provenance = {
-        "check-lie-subalgebra": (lie.is_fuzzy_lie_subalgebra, "fuzzy-lie-subalgebra"),
-        "check-lie-ideal": (lie.is_fuzzy_lie_ideal, "fuzzy-lie-ideal"),
-    }[args.command]
-    rep = _verdict_report(args.command, provenance, check(mu, sc, samples),
+    rep = _verdict_report(args.command, args.provenance, args.check(mu, sc, samples),
                           metrics={"sample_vectors": len(samples.vectors)})
     if rep.verdict == "pass":
         rep.notes.append("no violation on the sample set; not a universal proof")
@@ -300,45 +290,41 @@ def cmd_demo_circle(args) -> Report:
     n = args.samples_per_chart
     phi = manifold.circle_phi_atlas(n, tol)
     psi = manifold.circle_psi_atlas(n, tol)
-    # One pass over the pairs within phi, then within psi, then across.
-    both = manifold.check_atlas(phi, psi, normalize_cover=args.normalize_cover)
-    phi_cover = both.cover
-    psi_cover = manifold.check_cover_condition(psi, normalize=args.normalize_cover)
+    # The pairs within phi, then within psi, then across, in that order:
+    # the first coord_inverse round trip that fails ends the run.
+    phi_rep = manifold.check_atlas(phi, normalize_cover=args.normalize_cover)
+    psi_rep = manifold.check_atlas(psi, normalize_cover=args.normalize_cover)
+    pairs = phi_rep.pairs + psi_rep.pairs + manifold.check_compatible(phi, psi)
     tr_phi = manifold.transition_map(phi, 0, 1)
     tr_psi = manifold.transition_map(psi, 0, 1)
-
-    def transitions_ok(atlas):
-        labels = {chart.label for chart in atlas.charts}
-        return all(pc.report.ok for pc in both.pairs
-                   if pc.source_label in labels and pc.target_label in labels)
-
-    ok = both.transitions_ok and phi_cover.ok and psi_cover.ok
+    transitions_ok = all(pc.report.ok for pc in pairs)
+    ok = transitions_ok and phi_rep.ok and psi_rep.ok
     rep = Report(
         "demo-circle",
         "pass" if ok else "fail",
         "circle-atlas-fixture",
         metrics={
-            "phi_cover_deficiency": phi_cover.max_deficiency,
-            "phi_cover_worst_point": phi_cover.worst_point,
-            "psi_cover_deficiency": psi_cover.max_deficiency,
-            "phi_transitions_ok": transitions_ok(phi),
-            "psi_transitions_ok": transitions_ok(psi),
-            "cross_transitions_ok": both.transitions_ok,
+            "phi_cover_deficiency": phi_rep.cover.max_deficiency,
+            "phi_cover_worst_point": phi_rep.cover.worst_point,
+            "psi_cover_deficiency": psi_rep.cover.max_deficiency,
+            "phi_transitions_ok": phi_rep.transitions_ok,
+            "psi_transitions_ok": psi_rep.transitions_ok,
+            "cross_transitions_ok": transitions_ok,
             "phi21_at_0.25": tr_phi(0.25),
             "phi21_at_0.75": tr_phi(0.75),
             "psi21_at_0.6": tr_psi(0.6),
-            "max_stability_error": max((pc.report.max_stability_error for pc in both.pairs),
+            "max_stability_error": max((pc.report.max_stability_error for pc in pairs),
                                        default=0.0),
             "samples_per_chart": n,
         },
         notes=["checked at sampled points of each chart; not a proof"] if ok else [],
     )
-    bad_cover = next((cover for cover in (phi_cover, psi_cover) if not cover.ok), None)
+    bad_cover = next((r.cover for r in (phi_rep, psi_rep) if not r.cover.ok), None)
     if bad_cover is not None:
         rep.witness["reason"] = "cover supremum below 1 as the memberships are written"
         rep.witness["at"] = bad_cover.worst_point
     elif not ok:
-        bad = next(pc for pc in both.pairs if not pc.report.ok)
+        bad = next(pc for pc in pairs if not pc.report.ok)
         rep.witness["reason"] = f"{bad.source_label}->{bad.target_label}: {bad.report.reason}"
     return rep
 
@@ -430,8 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify the listed family itself instead of its closure")
     p.add_argument("--base", nargs="+", default=None,
                    help="fuzzy set files to test as an open base")
-    add("check-t1", cmd_check_separation, topo_flags, topology={})
-    add("check-hausdorff", cmd_check_separation, topo_flags, topology={})
+    # Shared handlers take their checker from the parser.  execute builds one per
+    # call, so a checker wrapped in its module (perfbench/tracing.py) is what runs.
+    p = add("check-t1", cmd_check_separation, topo_flags, topology={})
+    p.set_defaults(check=is_T1, provenance="fuzzy-t1-separation")
+    p = add("check-hausdorff", cmd_check_separation, topo_flags, topology={})
+    p.set_defaults(check=is_hausdorff, provenance="fuzzy-hausdorff-separation")
     add("check-continuity", cmd_check_continuity, topo_flags,
         map={}, source_topology={}, target_topology={})
     add("check-topgroup", cmd_check_topgroup, topo_flags, group={}, topology={})
@@ -443,8 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--invariant", help="invariant fuzzy set file")
     add("quotient", cmd_quotient, group={}, action={}, relation={})
     add("check-lie", cmd_check_lie, constants={})
-    add("check-lie-subalgebra", cmd_check_lie_predicate, sample_flags, constants={}, classifier={})
-    add("check-lie-ideal", cmd_check_lie_predicate, sample_flags, constants={}, classifier={})
+    p = add("check-lie-subalgebra", cmd_check_lie_predicate, sample_flags,
+            constants={}, classifier={})
+    p.set_defaults(check=lie.is_fuzzy_lie_subalgebra, provenance="fuzzy-lie-subalgebra")
+    p = add("check-lie-ideal", cmd_check_lie_predicate, sample_flags, constants={}, classifier={})
+    p.set_defaults(check=lie.is_fuzzy_lie_ideal, provenance="fuzzy-lie-ideal")
     add("level-set", cmd_level_set, fuzzy_set={}, threshold={})
     p = add("check-atlas", cmd_check_atlas, numeric_flags)
     p.add_argument("charts", nargs="+", help="chart table files")

@@ -53,6 +53,8 @@ class Atlas:
         object.__setattr__(self, "charts", tuple(self.charts))
         object.__setattr__(self, "samples", tuple(self.samples))
         object.__setattr__(self, "seam_points", tuple(self.seam_points))
+        if not self.charts:
+            raise ValueError("an atlas needs at least one chart")
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,10 @@ class TransitionMap:
         return self.target.coord(self.source.coord_inverse(s))
 
 
-def transition_map(atlas: Atlas, j: int, l: int, atlas2: Optional[Atlas] = None) -> TransitionMap:
-    """Transition from chart j to chart l (of atlas2 when given), tabulated
-    over the shared samples lying in both supports."""
-    src = atlas.charts[j]
-    other = atlas2 if atlas2 is not None else atlas
-    tgt = other.charts[l]
+def transition_map(atlas: Atlas, j: int, l: int) -> TransitionMap:
+    """Transition from chart j to chart l, tabulated over the shared
+    samples lying in both supports."""
+    src, tgt = atlas.charts[j], atlas.charts[l]
     tol = atlas.tolerances
     pts = [p for p in atlas.samples if src.membership(p) > 0.0 and tgt.membership(p) > 0.0]
     if not pts:
@@ -121,8 +121,7 @@ def transition_map(atlas: Atlas, j: int, l: int, atlas2: Optional[Atlas] = None)
         for s in coords[:: max(1, len(coords) // 32)]:
             if abs(src.coord(src.coord_inverse(float(s))) - s) > tol.eps_inv:
                 raise ValueError(f"chart {src.label}: coord o coord_inverse deviates at {s}")
-    seam_pts = atlas.seam_points + (atlas2.seam_points if atlas2 is not None else ())
-    seams = tuple(sorted({src.coord(p) for p in seam_pts if src.membership(p) > 0.0}))
+    seams = tuple(sorted({src.coord(p) for p in atlas.seam_points if src.membership(p) > 0.0}))
     return TransitionMap(src, tgt, coords, values, seams)
 
 
@@ -266,45 +265,46 @@ class AtlasReport:
         return self.transitions_ok and self.cover.ok
 
 
-def _factor_pairs(atlas: Atlas, atlas2: Optional[Atlas]) -> list:
-    """(source atlas, j, l, target atlas or None) for every ordered pair of
-    distinct charts within each atlas, then, with a second atlas, every pair
-    across the two in both directions.  None means the target chart l is in
-    the source atlas.  Each pair's reverse orientation is its transition's
-    inverse, so listing both covers every inverse."""
-    atlases = (atlas,) if atlas2 is None else (atlas, atlas2)
-    out = [(a, j, l, None) for a in atlases
-           for j, l in permutations(range(len(a.charts)), 2)]
-    if atlas2 is not None:
-        out += [(a, j, l, b) for a, b in ((atlas, atlas2), (atlas2, atlas))
-                for j, l in product(range(len(a.charts)), range(len(b.charts)))]
-    return out
-
-
-def check_atlas(atlas: Atlas, atlas2: Optional[Atlas] = None,
-                normalize_cover: bool = False) -> AtlasReport:
-    """Cover diagnostics of the first atlas plus every pairwise (and, with a
-    second atlas, cross) transition C1 check.  A transition between charts
-    with inverse formulas gets check_c1_diffeo; one involving a tabulated
-    chart, which has none, gets check_c1_tabulated over the overlap table.
-    Each check covers one direction; the inverse of j -> l is checked as
-    the pair l -> j."""
-    if atlas2 is not None and atlas.samples != atlas2.samples:
-        raise ValueError("compatibility checks require a shared sample list")
-    cover = check_cover_condition(atlas, normalize=normalize_cover)
+def _check_pairs(atlas: Atlas, index_pairs) -> list:
+    """The C1 check of each transition j -> l whose charts overlap on the
+    samples: check_c1_tabulated over the overlap table when either chart is
+    tabulated, so has no inverse formula, and check_c1_diffeo otherwise."""
     pairs = []
-    for src_atlas, j, l, cross in _factor_pairs(atlas, atlas2):
+    for j, l in index_pairs:
         try:
-            tr = transition_map(src_atlas, j, l, atlas2=cross)
+            tr = transition_map(atlas, j, l)
         except EmptyOverlapError:
             continue
-        tol = src_atlas.tolerances
         if tr.source.coord_inverse is None or tr.target.coord_inverse is None:
-            rep = check_c1_tabulated(tr.coords, tr.values, tol)
+            rep = check_c1_tabulated(tr.coords, tr.values, atlas.tolerances)
         else:
-            rep = check_c1_diffeo(tr, tr.coords, tol, seams=tr.seams)
+            rep = check_c1_diffeo(tr, tr.coords, atlas.tolerances, seams=tr.seams)
         pairs.append(PairCheck(tr.source.label, tr.target.label, rep))
+    return pairs
+
+
+def check_atlas(atlas: Atlas, normalize_cover: bool = False) -> AtlasReport:
+    """Cover diagnostics plus the C1 check of the transition between every
+    ordered pair of distinct charts.  Each check covers one direction; the
+    inverse of j -> l is checked as the pair l -> j."""
+    cover = check_cover_condition(atlas, normalize=normalize_cover)
+    pairs = _check_pairs(atlas, permutations(range(len(atlas.charts)), 2))
     return AtlasReport(cover, pairs, all(pc.report.ok for pc in pairs))
+
+
+def check_compatible(a: Atlas, b: Atlas) -> list[PairCheck]:
+    """C1 checks from each chart of a to each chart of b, then from b to a:
+    the atlases give the same manifold when all pass.  Each direction keeps
+    its source atlas's tolerances and skips the seams of both atlases."""
+    if a.samples != b.samples:
+        raise ValueError("compatibility checks require a shared sample list")
+    pairs = []
+    for src, dst in ((a, b), (b, a)):
+        joined = Atlas(src.charts + dst.charts, src.samples, src.tolerances,
+                       src.seam_points + dst.seam_points)
+        n = len(src.charts)
+        pairs += _check_pairs(joined, product(range(n), range(n, len(joined.charts))))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +458,11 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
 RANK_RTOL = 1e-6
 
 
-def numeric_rank(fn: Callable, point, h: float = 1e-5) -> int:
-    """Rank of the central finite-difference Jacobian at an interior point."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+def numeric_rank(fn: Callable, point) -> int:
+    """Rank of the central finite-difference Jacobian, at step 1e-5, at an
+    interior point."""
     point = np.asarray(point, dtype=float)
-    cols = [_central(lambda s: np.asarray(fn(point + s * u), dtype=float).ravel(), 0.0, h)
+    cols = [_central(lambda s: np.asarray(fn(point + s * u), dtype=float).ravel(), 0.0, 1e-5)
             for u in np.eye(point.size)]
     jac = np.stack(cols, axis=1)
     svals = np.linalg.svd(jac, compute_uv=False)

@@ -182,11 +182,11 @@ class FuzzySet:
         return self.nums if k == 1 else tuple(n * k for n in self.nums)
 
     @classmethod
-    def from_map(cls, carrier: Carrier, mapping, default=ZERO) -> "FuzzySet":
-        """Grade mapping[x] at x and `default` elsewhere; KeyError on an
-        element outside the carrier."""
+    def from_map(cls, carrier: Carrier, mapping) -> "FuzzySet":
+        """Grade mapping[x] at x and 0 elsewhere; KeyError on an element
+        outside the carrier."""
         by_index = {carrier.index(x): g for x, g in mapping.items()}
-        return cls(carrier, tuple(by_index.get(i, default) for i in range(len(carrier))))
+        return cls(carrier, tuple(by_index.get(i, ZERO) for i in range(len(carrier))))
 
     @classmethod
     def constant(cls, carrier: Carrier, g) -> "FuzzySet":

@@ -1,5 +1,5 @@
-"""Reference implementations of the tabulated-chart checks, of the circle
-demo and of the product-atlas check.
+"""Reference implementations of the tabulated-chart checks, of the two-atlas
+check, of the circle demo and of the product-atlas check.
 
 These are the loop-based table transition check and the tabulated atlas
 check with its own cover loop and overlap filter, as the library had them
@@ -9,21 +9,28 @@ together, so that every transition within an atlas ran twice.  The
 differential tests in `test_manifold_oracle.py` require the library to
 agree with them on every report field, and the CLI on every machine line.
 The table checks divide by zero on a table whose params repeat, so the
-tests draw distinct params only.  The product-atlas check builds every
-product chart and scans the whole product grid with the library's cover
-loop, where the library reads the product cover off the two factor covers.
+tests draw distinct params only.  The two-atlas check is the one
+`check_atlas` with an optional second atlas, which listed the pairs within
+each atlas and then across them, where the library checks one atlas with
+`check_atlas` and two with `check_compatible`.  The product-atlas check
+builds every product chart and scans the whole product grid with the
+library's cover loop, where the library reads the product cover off the two
+factor covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import permutations, product
+from typing import Optional
 
 import numpy as np
 
 from fuzzcheck import manifold
 from fuzzcheck.cli import _tolerances
 from fuzzcheck.manifold import (
-    Atlas, AtlasReport, C1Report, CoverReport, PairCheck, SampledChart, Tolerances,
+    Atlas, AtlasReport, C1Report, CoverReport, EmptyOverlapError, PairCheck, SampledChart,
+    Tolerances, TransitionMap,
 )
 from fuzzcheck.report import Report
 
@@ -116,6 +123,65 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
     return AtlasReport(cover, pairs, ok)
 
 
+def transition_map(atlas: Atlas, j: int, l: int, atlas2: Optional[Atlas] = None) -> TransitionMap:
+    """Transition from chart j to chart l (of atlas2 when given), tabulated
+    over the shared samples lying in both supports."""
+    src = atlas.charts[j]
+    other = atlas2 if atlas2 is not None else atlas
+    tgt = other.charts[l]
+    tol = atlas.tolerances
+    pts = [p for p in atlas.samples if src.membership(p) > 0.0 and tgt.membership(p) > 0.0]
+    if not pts:
+        raise EmptyOverlapError(f"charts {src.label} and {tgt.label} do not overlap on the samples")
+    coords = np.array([src.coord(p) for p in pts], dtype=float)
+    values = np.array([tgt.coord(p) for p in pts], dtype=float)
+    order = np.argsort(coords)
+    coords, values = coords[order], values[order]
+    if src.coord_inverse is not None:
+        for s in coords[:: max(1, len(coords) // 32)]:
+            if abs(src.coord(src.coord_inverse(float(s))) - s) > tol.eps_inv:
+                raise ValueError(f"chart {src.label}: coord o coord_inverse deviates at {s}")
+    seam_pts = atlas.seam_points + (atlas2.seam_points if atlas2 is not None else ())
+    seams = tuple(sorted({src.coord(p) for p in seam_pts if src.membership(p) > 0.0}))
+    return TransitionMap(src, tgt, coords, values, seams)
+
+
+def _factor_pairs(atlas: Atlas, atlas2: Optional[Atlas]) -> list:
+    """(source atlas, j, l, target atlas or None) for every ordered pair of
+    distinct charts within each atlas, then, with a second atlas, every pair
+    across the two in both directions.  None means the target chart l is in
+    the source atlas."""
+    atlases = (atlas,) if atlas2 is None else (atlas, atlas2)
+    out = [(a, j, l, None) for a in atlases
+           for j, l in permutations(range(len(a.charts)), 2)]
+    if atlas2 is not None:
+        out += [(a, j, l, b) for a, b in ((atlas, atlas2), (atlas2, atlas))
+                for j, l in product(range(len(a.charts)), range(len(b.charts)))]
+    return out
+
+
+def check_atlas(atlas: Atlas, atlas2: Optional[Atlas] = None,
+                normalize_cover: bool = False) -> AtlasReport:
+    """Cover diagnostics of the first atlas plus every pairwise (and, with a
+    second atlas, cross) transition C1 check."""
+    if atlas2 is not None and atlas.samples != atlas2.samples:
+        raise ValueError("compatibility checks require a shared sample list")
+    cover = manifold.check_cover_condition(atlas, normalize=normalize_cover)
+    pairs = []
+    for src_atlas, j, l, cross in _factor_pairs(atlas, atlas2):
+        try:
+            tr = transition_map(src_atlas, j, l, atlas2=cross)
+        except EmptyOverlapError:
+            continue
+        tol = src_atlas.tolerances
+        if tr.source.coord_inverse is None or tr.target.coord_inverse is None:
+            rep = manifold.check_c1_tabulated(tr.coords, tr.values, tol)
+        else:
+            rep = manifold.check_c1_diffeo(tr, tr.coords, tol, seams=tr.seams)
+        pairs.append(PairCheck(tr.source.label, tr.target.label, rep))
+    return AtlasReport(cover, pairs, all(pc.report.ok for pc in pairs))
+
+
 def check_product_atlas(a: Atlas, b: Atlas, normalize_cover: bool = False) -> AtlasReport:
     """The cover of the atlas of product charts, with membership
     min(m(p), n(q)), over the samples (p, q), p outer; the transitions
@@ -136,11 +202,11 @@ def cmd_demo_circle(args) -> Report:
     n = args.samples_per_chart
     phi = manifold.circle_phi_atlas(n, tol)
     psi = manifold.circle_psi_atlas(n, tol)
-    phi_rep = manifold.check_atlas(phi, normalize_cover=args.normalize_cover)
-    psi_rep = manifold.check_atlas(psi, normalize_cover=args.normalize_cover)
-    cross = manifold.check_atlas(phi, psi, normalize_cover=args.normalize_cover)
-    tr_phi = manifold.transition_map(phi, 0, 1)
-    tr_psi = manifold.transition_map(psi, 0, 1)
+    phi_rep = check_atlas(phi, normalize_cover=args.normalize_cover)
+    psi_rep = check_atlas(psi, normalize_cover=args.normalize_cover)
+    cross = check_atlas(phi, psi, normalize_cover=args.normalize_cover)
+    tr_phi = transition_map(phi, 0, 1)
+    tr_psi = transition_map(psi, 0, 1)
     max_stab = max(
         [pc.report.max_stability_error for rep_ in (phi_rep, psi_rep, cross)
          for pc in rep_.pairs],

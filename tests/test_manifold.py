@@ -11,6 +11,7 @@ from fuzzcheck.manifold import (
     check_atlas,
     check_c1_diffeo,
     check_c1_tabulated,
+    check_compatible,
     check_cover_condition,
     check_product_atlas,
     check_tabulated_atlas,
@@ -68,7 +69,8 @@ class TestTransitionMaps:
 
     def test_cross_atlas_transition(self):
         phi, psi = circle_phi_atlas(256), circle_psi_atlas(256)
-        tr = transition_map(phi, 0, 0, atlas2=psi)  # angle t to y = cos(2 pi t)
+        joined = Atlas(phi.charts + psi.charts, phi.samples)
+        tr = transition_map(joined, 0, 2)  # angle t to y = cos(2 pi t)
         assert tr(0.125) == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
 
     def test_disjoint_charts_raise(self):
@@ -135,13 +137,22 @@ class TestAtlasChecks:
         assert len(rep.pairs) == 8
 
     def test_cross_atlas_compatible(self):
-        rep = check_atlas(circle_phi_atlas(512), circle_psi_atlas(512),
-                          normalize_cover=True)
-        assert rep.ok
+        phi, psi = circle_phi_atlas(512), circle_psi_atlas(512)
+        assert check_atlas(phi, normalize_cover=True).ok
+        assert check_atlas(psi).transitions_ok
+        cross = check_compatible(phi, psi)
+        assert len(cross) == 2 * 2 * 4  # every phi chart meets every psi chart, both ways
+        assert all(pc.report.ok for pc in cross)
 
     def test_shared_samples_required(self):
-        with pytest.raises(ValueError):
-            check_atlas(circle_phi_atlas(512), circle_psi_atlas(256))
+        with pytest.raises(ValueError, match="shared sample list"):
+            check_compatible(circle_phi_atlas(512), circle_psi_atlas(256))
+
+    def test_atlas_needs_a_chart(self):
+        with pytest.raises(ValueError, match="an atlas needs at least one chart"):
+            check_atlas(Atlas((), (0.0,)))
+        with pytest.raises(ValueError, match="an atlas needs at least one chart"):
+            check_tabulated_atlas([])
 
     @staticmethod
     def line_atlas(coord, coord_inverse):
@@ -250,10 +261,6 @@ class TestNumericRank:
 
     def test_zero_jacobian_rank_zero(self):
         assert numeric_rank(lambda v: np.zeros(2), np.array([0.3, -0.2, 0.1])) == 0
-
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            numeric_rank(lambda v: v, np.zeros(2), h=0.0)
 
 
 class TestGLDemo:

@@ -3,9 +3,12 @@ reference in `manifold_oracle.py`.  Verdicts, reasons, witnesses, the
 largest derivative jump, checked-point counts and cover reports must be
 equal on random tables with kinks, gaps and dips.  The `demo-circle`
 command's machine output must equal the reference handler's, which checks
-each atlas on its own before checking both together.  The product-atlas
-check must equal the reference's scan of the whole product grid."""
+each atlas on its own before checking both together.  Checking two atlases
+one by one and then with `check_compatible` must give the reference
+two-atlas check's pairs, in its order.  The product-atlas check must equal
+the reference's scan of the whole product grid."""
 
+import argparse
 import contextlib
 import io
 
@@ -102,13 +105,14 @@ GRADES = [0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.0]
 
 
 @st.composite
-def sampled_factors(draw, tol):
-    """One to three charts without inverse formulas over 0 to 12 samples,
-    possibly none, with memberships drawn from GRADES.  Optionally every
-    chart misses one sample, the first or another: a dip to deficiency 1,
-    which makes that sample the factor's worst and ties with a dip in the
-    other factor."""
-    samples = tuple(draw(st.permutations(range(draw(st.integers(0, 12))))))
+def sampled_factors(draw, tol, samples=None):
+    """One to three charts without inverse formulas over the given samples
+    or 0 to 12 drawn ones, possibly none, with memberships drawn from
+    GRADES.  Optionally every chart misses one sample, the first or another:
+    a dip to deficiency 1, which makes that sample the factor's worst and
+    ties with a dip in the other factor."""
+    if samples is None:
+        samples = tuple(draw(st.permutations(range(draw(st.integers(0, 12))))))
     dip = draw(st.one_of(st.none(), st.just(0), st.integers(0, 11)))
     charts = []
     for j in range(draw(st.integers(1, 3))):
@@ -147,6 +151,39 @@ def test_product_atlas_matches_product_grid(atlases, normalize):
     assert _pairs(got) == _pairs(want)
 
 
+def _one_by_one(a, b):
+    return (manifold.check_atlas(a).pairs + manifold.check_atlas(b).pairs
+            + manifold.check_compatible(a, b))
+
+
+def _assert_matches_two_atlas_check(a, b):
+    """The pairs of both atlases and across, report for report, or the same
+    ValueError from both sides.  Returns whether that error was raised."""
+    try:
+        want = oracle.check_atlas(a, b).pairs
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _one_by_one(a, b)
+        assert str(got.value) == str(exc)
+        return True
+    assert _one_by_one(a, b) == want
+    return False
+
+
+@st.composite
+def shared_sample_atlases(draw):
+    """Two atlases of tabulated charts on one sample list, each under its
+    own tolerances, so that each direction's cap shows."""
+    a = draw(sampled_factors(draw(TOLERANCES)))
+    return a, draw(sampled_factors(draw(TOLERANCES), a.samples))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_sample_atlases())
+def test_compatible_tabulated_matches_two_atlas_check(atlases):
+    assert not _assert_matches_two_atlas_check(*atlases)
+
+
 def _run(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -173,9 +210,19 @@ def test_demo_circle_matches_reference(monkeypatch, samples, normalize, toleranc
     assert got == _run(argv)
 
 
+@pytest.mark.parametrize("tolerances", DEMO_TOLERANCES)
+@pytest.mark.parametrize("samples", [16, 64, 256])
+def test_compatible_circle_matches_two_atlas_check(samples, tolerances):
+    tol = cli._tolerances(argparse.Namespace(tolerance=tolerances))
+    phi, psi = manifold.circle_phi_atlas(samples, tol), manifold.circle_psi_atlas(samples, tol)
+    raised = _assert_matches_two_atlas_check(phi, psi)
+    # At 16 samples every sampled coord_inverse round trip is exact.
+    assert raised == (tolerances == ["eps_inv=1e-18"] and samples > 16)
+
+
 def test_demo_circle_checks_each_transition_once(monkeypatch):
     phi, psi = manifold.circle_phi_atlas(64), manifold.circle_psi_atlas(64)
-    pairs = manifold.check_atlas(phi, psi).pairs
+    pairs = _one_by_one(phi, psi)
     real, calls = manifold.check_c1_diffeo, []
 
     def spy(fn, *args, **kwargs):
