@@ -4,7 +4,6 @@ human or machine reports with stable exit codes."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -61,7 +60,7 @@ def _verdict_report(command, provenance, verdict, metrics=None) -> Report:
 
 def _tolerances(args, fields=None) -> manifold.Tolerances:
     """The --tolerance overrides, each named in fields (default: all)."""
-    fields = fields or {f.name for f in dataclasses.fields(manifold.Tolerances)}
+    fields = fields or set(manifold.Tolerances._fields)
     overrides = {}
     for item in args.tolerance or []:
         if "=" not in item:
@@ -285,9 +284,18 @@ def cmd_check_atlas(args) -> Report:
     return rep
 
 
+# A demo's cost grows linearly in its size; at these maxima demo-circle takes
+# about 2 s and 44 MiB, demo-gl --n 4 about 2 s.  Below 4 samples per chart,
+# psi1 and psi2 share none.
+MIN_SAMPLES_PER_CHART, MAX_SAMPLES_PER_CHART, MAX_GL_COUNT = 4, 65536, 10000
+
+
 def cmd_demo_circle(args) -> Report:
     tol = _tolerances(args)
     n = args.samples_per_chart
+    if not MIN_SAMPLES_PER_CHART <= n <= MAX_SAMPLES_PER_CHART:
+        raise FuzzcheckError(f"--samples-per-chart must be between {MIN_SAMPLES_PER_CHART} "
+                             f"and {MAX_SAMPLES_PER_CHART}, got {n}")
     phi = manifold.circle_phi_atlas(n, tol)
     psi = manifold.circle_psi_atlas(n, tol)
     # The pairs within phi, then within psi, then across, in that order:
@@ -330,6 +338,8 @@ def cmd_demo_circle(args) -> Report:
 
 
 def cmd_demo_gl(args) -> Report:
+    if args.count > MAX_GL_COUNT:
+        raise FuzzcheckError(f"--count must be at most {MAX_GL_COUNT}, got {args.count}")
     report = manifold.gl_demo(args.n, args.count, seed=args.seed)
     return Report(
         "demo-gl",

@@ -12,32 +12,28 @@ come back only in reasons, witnesses and the structures built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
 from .errors import CarrierMismatchError, DominationError
 from .maps import ProperFunction, indices
+from .record import Frozen
 from .sets import Carrier, FuzzySet, Verdict, format_grade
 from .topology import DEFAULT_CLOSURE_CAP, FuzzyTopology, check_map, product_topology
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """Element list and square Cayley table; identity and inverses are read off it."""
 
-    carrier: Carrier
-    table: tuple  # table[i][j] = carrier.elements[i] * carrier.elements[j]
-    _ints: tuple = field(init=False, repr=False, compare=False)  # the table on indices
+    _fields = ("carrier", "table")  # table[i][j] = carrier.elements[i] * carrier.elements[j]
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-        n = len(self.carrier)
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+    def __init__(self, carrier: Carrier, table):
+        table = tuple(tuple(row) for row in table)
+        n = len(carrier)
+        if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("Cayley table must be square and match the element list")
-        object.__setattr__(self, "_ints", tuple(
-            indices(self.carrier, row, "Cayley entry {!r} is not an element")
-            for row in self.table))
+        ints = tuple(indices(carrier, row, "Cayley entry {!r} is not an element") for row in table)
+        self._set(carrier=carrier, table=table, _ints=ints)
 
     @cached_property
     def _e(self):
@@ -142,25 +138,19 @@ def is_fuzzy_topological_group(group: FiniteGroup, tau: FuzzyTopology,
     return Verdict.passed()
 
 
-@dataclass(frozen=True)
-class FiniteAction:
+class FiniteAction(Frozen):
     """Group action on a finite space carrying an ambient fuzzy set."""
 
-    group: FiniteGroup
-    space: Carrier
-    ambient: FuzzySet
-    table: tuple  # table[gi][xi] = action of group element gi on space element xi
-    _ints: tuple = field(init=False, repr=False, compare=False)  # the table on space indices
+    _fields = ("group", "space", "ambient", "table")  # table[gi][xi] = gi acting on point xi
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-        if self.ambient.carrier != self.space:
+    def __init__(self, group: FiniteGroup, space: Carrier, ambient: FuzzySet, table):
+        table = tuple(tuple(row) for row in table)
+        if ambient.carrier != space:
             raise CarrierMismatchError("ambient fuzzy set must live on the action space")
-        if len(self.table) != len(self.group) or any(len(r) != len(self.space) for r in self.table):
+        if len(table) != len(group) or any(len(r) != len(space) for r in table):
             raise ValueError("action table must have a row per group element, a column per point")
-        object.__setattr__(self, "_ints", tuple(
-            indices(self.space, row, "action value {!r} is not a space point")
-            for row in self.table))
+        ints = tuple(indices(space, row, "action value {!r} is not a space point") for row in table)
+        self._set(group=group, space=space, ambient=ambient, table=table, _ints=ints)
 
     def act(self, g, x):
         return self.table[self.group.carrier.index(g)][self.space.index(x)]
@@ -257,14 +247,13 @@ def restrict_to_invariant(action: FiniteAction, s: FuzzySet) -> FiniteAction:
     return FiniteAction(action.group, space, ambient, rows)
 
 
-@dataclass(frozen=True)
-class EquivalenceRelation:
+class EquivalenceRelation(Frozen):
     """Partition of the action space into disjoint nonempty classes."""
 
-    classes: tuple  # tuple of tuples of space elements
+    _fields = ("classes",)  # tuple of tuples of space elements
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(tuple(c) for c in self.classes))
+    def __init__(self, classes):
+        self._set(classes=tuple(tuple(c) for c in classes))
         seen = set()
         for c in self.classes:
             if not c:

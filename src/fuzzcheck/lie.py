@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
+from .record import Frozen
 from .sets import Verdict, as_grade, format_grade
 
 
@@ -23,16 +23,19 @@ def _vec(values) -> tuple:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(Frozen):
     """Nonzero coefficients, scaled to ints: [e_i, e_j] = sum of c / scale
     * e_k over the (k, c) pairs of ints[(i, j)], in ascending k; unlisted
     pairs bracket to 0.  `scale` is the lcm of the rational coefficients'
     denominators."""
 
-    dim: int
-    scale: int
-    ints: dict = field(hash=False)
+    _fields = ("dim", "scale", "ints")
+
+    def __init__(self, dim: int, scale: int, ints: dict):
+        self._set(dim=dim, scale=scale, ints=ints)
+
+    def __hash__(self):  # the dict of constants is left out
+        return hash((self.dim, self.scale))
 
     @classmethod
     def from_entries(cls, dim: int, entries: dict) -> "StructureConstants":
@@ -132,46 +135,38 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Condition:
-    coord: int  # zero-based
-    op: str
+class Condition(Frozen):
+    _fields = ("coord", "op")  # coord is zero-based
 
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError(f"unknown condition operator {self.op!r}")
+    def __init__(self, coord: int, op: str):
+        if op not in _OPS:
+            raise ValueError(f"unknown condition operator {op!r}")
+        self._set(coord=coord, op=op)
 
     def holds(self, vector) -> bool:
         return _OPS[self.op](vector[self.coord])
 
 
-@dataclass(frozen=True)
-class ClassifierCase:
-    conditions: tuple  # of Condition, conjunction
-    grade: Fraction
+class ClassifierCase(Frozen):
+    _fields = ("conditions", "grade")  # conditions: a conjunction of Condition
 
-    def __post_init__(self):
-        object.__setattr__(self, "conditions", tuple(self.conditions))
-        object.__setattr__(self, "grade", as_grade(self.grade))
+    def __init__(self, conditions, grade: Fraction):
+        self._set(conditions=tuple(conditions), grade=as_grade(grade))
 
     def matches(self, vector) -> bool:
         return all(c.holds(vector) for c in self.conditions)
 
 
-@dataclass(frozen=True)
-class MembershipClassifier:
+class MembershipClassifier(Frozen):
     """First-match list of (conjunctive condition, grade) cases plus default."""
 
-    dim: int
-    cases: tuple  # of ClassifierCase
-    default: Fraction
+    _fields = ("dim", "cases", "default")  # cases: a tuple of ClassifierCase
 
-    def __post_init__(self):
-        object.__setattr__(self, "cases", tuple(self.cases))
-        object.__setattr__(self, "default", as_grade(self.default))
+    def __init__(self, dim: int, cases, default: Fraction):
+        self._set(dim=dim, cases=tuple(cases), default=as_grade(default))
         for case in self.cases:
             for cond in case.conditions:
-                if not 0 <= cond.coord < self.dim:
+                if not 0 <= cond.coord < dim:
                     raise ValueError(f"coordinate {cond.coord} out of range")
 
     def grade(self, vector) -> Fraction:
@@ -184,16 +179,14 @@ class MembershipClassifier:
         return self.default
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Frozen):
     """Finite witness domain for the universally quantified conditions."""
 
-    vectors: tuple  # of rational vectors
-    scalars: tuple  # of rationals
+    _fields = ("vectors", "scalars")  # rational vectors, rationals
 
-    def __post_init__(self):
-        vectors = tuple(_vec(v) for v in self.vectors)
-        scalars = tuple(Fraction(s) for s in self.scalars)
+    def __init__(self, vectors, scalars):
+        vectors = tuple(_vec(v) for v in vectors)
+        scalars = tuple(Fraction(s) for s in scalars)
         if not vectors:
             raise ValueError("sample set needs at least one vector")
         dim = len(vectors[0])
@@ -201,8 +194,7 @@ class SampleSet:
             raise ValueError("sample vectors of mixed dimension")
         if tuple(Fraction(0) for _ in range(dim)) not in vectors:
             raise ValueError("sample set must contain the zero vector")
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "scalars", scalars)
+        self._set(vectors=vectors, scalars=scalars)
 
 
 def _sign_grader(mu: MembershipClassifier):

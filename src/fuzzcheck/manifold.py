@@ -10,58 +10,64 @@ on Tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import permutations, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .record import Frozen, Record
+
 H_REF = 1e-5  # the step at which eps_deriv holds as given; at step h it scales by (h/H_REF)^2
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    eps_inv: float = 1e-9        # coord o coord_inverse round-trip error
-    eps_deriv: float = 1e-6      # finite-difference stability, relative, at h = H_REF
-    h0: float = 1e-3             # initial central-difference step (two halvings follow)
-    cover_eps: float = 0.0       # allowed cover deficiency
-    lipschitz_cap: float = 1e3   # max |dD/ds| between adjacent derivative samples
-    edge_margin_frac: float = 0.05  # fraction of a component span skipped at its edges
-    seam_margin_factor: float = 8.0  # skip radius around declared seams, in units of h0
+class Tolerances(Frozen):
+    _fields = ("eps_inv", "eps_deriv", "h0", "cover_eps", "lipschitz_cap", "edge_margin_frac",
+               "seam_margin_factor")
+
+    def __init__(self,
+                 eps_inv=1e-9,        # coord o coord_inverse round-trip error
+                 eps_deriv=1e-6,      # finite-difference stability, relative, at h = H_REF
+                 h0=1e-3,             # initial central-difference step (two halvings follow)
+                 cover_eps=0.0,       # allowed cover deficiency
+                 lipschitz_cap=1e3,   # max |dD/ds| between adjacent derivative samples
+                 edge_margin_frac=0.05,  # fraction of a component span skipped at its edges
+                 seam_margin_factor=8.0):  # skip radius around declared seams, in units of h0
+        self._set(eps_inv=eps_inv, eps_deriv=eps_deriv, h0=h0, cover_eps=cover_eps,
+                  lipschitz_cap=lipschitz_cap, edge_margin_frac=edge_margin_frac,
+                  seam_margin_factor=seam_margin_factor)
 
 
-@dataclass(frozen=True)
-class SampledChart:
+class SampledChart(Frozen):
     """Fuzzy chart realized numerically: membership and a coordinate
     bijection defined on the membership's support.  A tabulated chart has
     no inverse formula, so its coord_inverse is None."""
 
-    label: str
-    membership: Callable[[object], float]
-    coord: Callable[[object], float]
-    coord_inverse: Optional[Callable[[float], object]]
+    _fields = ("label", "membership", "coord", "coord_inverse")
+
+    def __init__(self, label: str, membership: Callable[[object], float],
+                 coord: Callable[[object], float],
+                 coord_inverse: Optional[Callable[[float], object]]):
+        self._set(label=label, membership=membership, coord=coord, coord_inverse=coord_inverse)
 
 
-@dataclass(frozen=True)
-class Atlas:
-    charts: tuple
-    samples: tuple           # shared manifold sample points
-    tolerances: Tolerances = Tolerances()
-    seam_points: tuple = ()  # manifold points where chart formulas break
+class Atlas(Frozen):
+    """Charts over shared manifold sample points; the seam points are where
+    chart formulas break."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "charts", tuple(self.charts))
-        object.__setattr__(self, "samples", tuple(self.samples))
-        object.__setattr__(self, "seam_points", tuple(self.seam_points))
+    _fields = ("charts", "samples", "tolerances", "seam_points")
+
+    def __init__(self, charts, samples, tolerances: Tolerances = Tolerances(), seam_points=()):
+        self._set(charts=tuple(charts), samples=tuple(samples), tolerances=tolerances,
+                  seam_points=tuple(seam_points))
         if not self.charts:
             raise ValueError("an atlas needs at least one chart")
 
 
-@dataclass(frozen=True)
-class CoverReport:
-    ok: bool
-    max_deficiency: float
-    worst_point: object
+class CoverReport(Frozen):
+    _fields = ("ok", "max_deficiency", "worst_point")
+
+    def __init__(self, ok: bool, max_deficiency: float, worst_point):
+        self._set(ok=ok, max_deficiency=max_deficiency, worst_point=worst_point)
 
 
 def check_cover_condition(atlas: Atlas, normalize: bool = False) -> CoverReport:
@@ -88,16 +94,17 @@ class EmptyOverlapError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TransitionMap:
+class TransitionMap(Frozen):
     """phi_l o phi_j^{-1}, tabulated over the sampled overlap and callable
-    anywhere the chart formulas are defined."""
+    anywhere the chart formulas are defined: coords are the overlap samples'
+    source-chart coordinates, sorted, values their target-chart coordinates,
+    and seams the seam locations in source coordinates."""
 
-    source: SampledChart
-    target: SampledChart
-    coords: np.ndarray   # sorted source-chart coordinates of overlap samples
-    values: np.ndarray   # target-chart coordinates at the same samples
-    seams: tuple         # source-coordinate seam locations
+    _fields = ("source", "target", "coords", "values", "seams")
+
+    def __init__(self, source: SampledChart, target: SampledChart, coords: np.ndarray,
+                 values: np.ndarray, seams: tuple):
+        self._set(source=source, target=target, coords=coords, values=values, seams=seams)
 
     def __call__(self, s: float) -> float:
         return self.target.coord(self.source.coord_inverse(s))
@@ -137,14 +144,16 @@ def _relative_error(approx, ref) -> float:
     return float(np.max(np.abs(approx - ref))) / max(1.0, float(np.max(np.abs(ref))))
 
 
-@dataclass
-class C1Report:
-    ok: bool
-    reason: str = ""
-    witness: object = None
-    max_stability_error: float = 0.0   # max relative |D_{h/2} - D_{h/4}|
-    max_derivative_jump: float = 0.0   # max |dD/ds| between adjacent samples
-    checked_points: int = 0
+class C1Report(Record):
+    _fields = ("ok", "reason", "witness", "max_stability_error", "max_derivative_jump",
+               "checked_points")
+
+    def __init__(self, ok: bool, reason: str = "", witness=None,
+                 max_stability_error=0.0,   # max relative |D_{h/2} - D_{h/4}|
+                 max_derivative_jump=0.0,   # max |dD/ds| between adjacent samples
+                 checked_points=0):
+        self._set(ok=ok, reason=reason, witness=witness, max_stability_error=max_stability_error,
+                  max_derivative_jump=max_derivative_jump, checked_points=checked_points)
 
 
 def _split_components(grid: np.ndarray, seams: Sequence[float]) -> list:
@@ -226,39 +235,33 @@ def check_c1_diffeo(fn: Callable[[float], float], grid, tol: Tolerances = Tolera
             err = abs(d2 - d4) / max(1.0, abs(d4))
             report.max_stability_error = max(report.max_stability_error, err)
             if err > scale:
-                return replace(
-                    report,
-                    ok=False,
-                    reason="derivative not stable under step halving",
-                    witness=float(s),
-                )
+                report.ok, report.reason, report.witness = (
+                    False, "derivative not stable under step halving", float(s))
+                return report
             derivs.append(d4)
         i = _jump_scan(report, pts, derivs, tol.lipschitz_cap)
         if i is not None:
-            return replace(
-                report,
-                ok=False,
-                reason="derivative jumps between adjacent samples",
-                witness=(pts[i], pts[i + 1]),
-            )
+            report.ok, report.reason, report.witness = (
+                False, "derivative jumps between adjacent samples", (pts[i], pts[i + 1]))
+            return report
         report.checked_points += len(pts)
     if report.checked_points == 0:
         return C1Report(False, "grid too small", witness=len(grid))
     return report
 
 
-@dataclass
-class PairCheck:
-    source_label: str
-    target_label: str
-    report: C1Report
+class PairCheck(Record):
+    _fields = ("source_label", "target_label", "report")
+
+    def __init__(self, source_label: str, target_label: str, report: C1Report):
+        self._set(source_label=source_label, target_label=target_label, report=report)
 
 
-@dataclass
-class AtlasReport:
-    cover: CoverReport
-    pairs: list
-    transitions_ok: bool
+class AtlasReport(Record):
+    _fields = ("cover", "pairs", "transitions_ok")
+
+    def __init__(self, cover: CoverReport, pairs: list, transitions_ok: bool):
+        self._set(cover=cover, pairs=pairs, transitions_ok=transitions_ok)
 
     @property
     def ok(self) -> bool:
@@ -427,12 +430,10 @@ def check_c1_tabulated(coords, values, tol: Tolerances = Tolerances()) -> C1Repo
         report.checked_points += len(comp)
         i = _jump_scan(report, comp[:-1], np.diff(vals) / np.diff(comp), tol.lipschitz_cap)
         if i is not None:
-            return replace(
-                report,
-                ok=False,
-                reason="difference quotient jumps between adjacent rows",
-                witness=(float(comp[i]), float(comp[i + 1])),
-            )
+            report.ok, report.reason, report.witness = (
+                False, "difference quotient jumps between adjacent rows",
+                (float(comp[i]), float(comp[i + 1])))
+            return report
     if report.checked_points == 0:
         return C1Report(False, "grid too small", witness=len(coords))
     return report
@@ -471,16 +472,22 @@ def numeric_rank(fn: Callable, point) -> int:
     return int(np.sum(svals > RANK_RTOL * svals[0]))
 
 
-@dataclass
-class GLDemoReport:
-    n: int
-    samples: int
-    max_det_gradient_error: float      # finite differences vs adjugate formula
-    max_mult_instability: float        # step-halving residual for products
-    max_inv_instability: float         # step-halving residual for inversion
-    max_orthogonality_error: float     # O(n) closure under product/inverse
-    inclusion_rank: int                # Jacobian rank of the natural inclusion
-    ok: bool
+class GLDemoReport(Record):
+    _fields = ("n", "samples", "max_det_gradient_error", "max_mult_instability",
+               "max_inv_instability", "max_orthogonality_error", "inclusion_rank", "ok")
+
+    def __init__(self, n: int, samples: int,
+                 max_det_gradient_error,   # finite differences vs adjugate formula
+                 max_mult_instability,     # step-halving residual for products
+                 max_inv_instability,      # step-halving residual for inversion
+                 max_orthogonality_error,  # O(n) closure under product/inverse
+                 inclusion_rank,           # Jacobian rank of the natural inclusion
+                 ok: bool):
+        self._set(n=n, samples=samples, max_det_gradient_error=max_det_gradient_error,
+                  max_mult_instability=max_mult_instability,
+                  max_inv_instability=max_inv_instability,
+                  max_orthogonality_error=max_orthogonality_error, inclusion_rank=inclusion_rank,
+                  ok=ok)
 
 
 def _random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -8,9 +8,9 @@ crisp fibers.  The scans run on the images as target indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError
+from .record import Frozen
 from .sets import FuzzySet, Verdict, ZERO, is_subset
 
 
@@ -22,21 +22,17 @@ def indices(carrier, labels, stray: str) -> tuple:
         raise ValueError(stray.format(next(y for y in labels if y not in carrier))) from None
 
 
-@dataclass(frozen=True)
-class ProperFunction:
+class ProperFunction(Frozen):
     """Crisp total map between the carriers of two fuzzy sets."""
 
-    source: FuzzySet
-    target: FuzzySet
-    images: tuple  # images[i] = value at source.carrier.elements[i]
-    _ints: tuple = field(init=False, repr=False, compare=False)  # the images as target indices
+    _fields = ("source", "target", "images")  # images[i] = value at source.carrier.elements[i]
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != len(self.source.carrier):
+    def __init__(self, source: FuzzySet, target: FuzzySet, images):
+        images = tuple(images)
+        if len(images) != len(source.carrier):
             raise ValueError("map must be total on the source carrier")
-        object.__setattr__(self, "_ints", indices(
-            self.target.carrier, self.images, "map value {!r} not in target carrier"))
+        ints = indices(target.carrier, images, "map value {!r} not in target carrier")
+        self._set(source=source, target=target, images=images, _ints=ints)
 
     def of(self, x):
         return self.images[self.source.carrier.index(x)]
@@ -46,12 +42,11 @@ class ProperFunction:
         return self.source(x) if self.of(x) == y else ZERO
 
 
-@dataclass(frozen=True)
-class MapFlags:
-    injective: bool
-    surjective: bool
-    bijective: bool
-    witness: object = None
+class MapFlags(Frozen):
+    _fields = ("injective", "surjective", "bijective", "witness")
+
+    def __init__(self, injective: bool, surjective: bool, bijective: bool, witness=None):
+        self._set(injective=injective, surjective=surjective, bijective=bijective, witness=witness)
 
 
 def image(f: ProperFunction, a: FuzzySet) -> FuzzySet:

@@ -1,0 +1,39 @@
+"""The one base of the value classes: equality, repr and, when frozen, hash
+and immutability, all read off the class's tuple of field names."""
+
+from operator import attrgetter
+
+
+class Record:
+    """Equal to an instance of its own class whose fields are equal, shown
+    as `Name(field=value, ...)`; mutable, so unhashable."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:  # the field values: a tuple, or a lone field's value
+            cls._values = property(attrgetter(*cls._fields))
+
+    def _set(self, **fields):
+        """Store fields as plain attributes, past a frozen `__setattr__`."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class Frozen(Record):
+    """An immutable Record, hashed by its fields."""
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")

@@ -7,7 +7,7 @@ every fail carries its witness.  Exit codes: 0 pass, 1 property violated,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -25,14 +25,15 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-@dataclass
-class Report:
-    command: str
-    verdict: str  # "pass" | "fail" | "error"
-    provenance: str
-    witness: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+class Report(Record):
+    _fields = ("command", "verdict", "provenance", "witness", "metrics", "notes")
+
+    def __init__(self, command: str, verdict: str, provenance: str, witness: dict = None,
+                 metrics: dict = None, notes: list = None):  # verdict: "pass" | "fail" | "error"
+        self._set(command=command, verdict=verdict, provenance=provenance,
+                  witness={} if witness is None else witness,
+                  metrics={} if metrics is None else metrics,
+                  notes=[] if notes is None else notes)
 
     @property
     def exit_code(self) -> int:

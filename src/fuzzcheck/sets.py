@@ -10,12 +10,12 @@ appear only in the numeric manifold module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable
 
 from .errors import CarrierMismatchError, DominationError
+from .record import Frozen
 
 ZERO = Fraction(0)
 
@@ -77,13 +77,13 @@ def format_grade(g: Fraction) -> str:
     return f"{g.numerator}/{g.denominator}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of a checked property: ok, or a reason plus the first witness."""
 
-    ok: bool
-    reason: str = ""
-    witness: Any = None
+    _fields = ("ok", "reason", "witness")
+
+    def __init__(self, ok: bool, reason: str = "", witness: Any = None):
+        self._set(ok=ok, reason=reason, witness=witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -102,14 +102,13 @@ class Verdict:
             raise DominationError(f"{what}: {self.reason}", witness=self.witness)
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(Frozen):
     """Finite ordered list of distinct opaque labels."""
 
-    elements: tuple
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, elements):
+        self._set(elements=tuple(elements))
         if not self.elements:
             raise ValueError("carrier must be nonempty")
         if len(set(self.elements)) != len(self.elements):
@@ -139,15 +138,12 @@ class Carrier:
         return Carrier(tuple((x, y) for x in a for y in b))
 
 
-@dataclass(frozen=True, init=False)
-class FuzzySet:
+class FuzzySet(Frozen):
     """A grade per carrier element; immutable and hashable.  Grade i is
     nums[i] / den, where den is the least common denominator of the grades,
     so two sets are equal exactly when their (carrier, nums, den) are."""
 
-    carrier: Carrier
-    nums: tuple  # one int in 0..den per carrier element
-    den: int
+    _fields = ("carrier", "nums", "den")  # nums: one int in 0..den per carrier element
 
     def __init__(self, carrier: Carrier, grades=()):
         values = tuple(grades)
@@ -220,18 +216,16 @@ class FuzzySet:
         return f"FuzzySet({body})"
 
 
-@dataclass(frozen=True)
-class FuzzyPoint:
+class FuzzyPoint(Frozen):
     """A carrier element together with a positive height."""
 
-    base: Any
-    height: Fraction
+    _fields = ("base", "height")
 
-    def __post_init__(self):
-        h = as_grade(self.height)
+    def __init__(self, base: Any, height: Fraction):
+        h = as_grade(height)
         if h == 0:
             raise ValueError("fuzzy point height must be positive")
-        object.__setattr__(self, "height", h)
+        self._set(base=base, height=h)
 
 
 def _aligned(sets: Iterable[FuzzySet]) -> tuple:

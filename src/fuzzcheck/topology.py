@@ -8,12 +8,12 @@ so arbitrary unions reduce to pairwise ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 
 from .errors import CarrierMismatchError, ResourceCapError
+from .record import Frozen
 
 # `union`, `intersection`, `image` and `preimage` stay bound in this module
 # even where unused: perfbench/tracing.py counts their calls by wrapping
@@ -24,15 +24,15 @@ from .sets import FuzzySet, Verdict, format_grade, intersection, is_subset, unio
 DEFAULT_CLOSURE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class GradeLattice:
+class GradeLattice(Frozen):
     """The grades {k/q : 0 <= k <= q}; closed under min/max."""
 
-    q: int
+    _fields = ("q",)
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __init__(self, q: int):
+        if q < 1:
             raise ValueError("lattice resolution must be a positive integer")
+        self._set(q=q)
 
     def members(self) -> tuple:
         return tuple(Fraction(k, self.q) for k in range(self.q + 1))
@@ -89,15 +89,12 @@ class _IntView:
         return [range(1, min(self.q, top // self.step) + 1) for top in self.ambient]
 
 
-@dataclass(frozen=True)
-class FuzzyTopology:
-    ambient: FuzzySet
-    opens: frozenset  # of FuzzySet, each <= ambient
-    lattice: GradeLattice
-    _ints: _IntView = field(init=False, repr=False, compare=False)  # what the scans read
+class FuzzyTopology(Frozen):
+    _fields = ("ambient", "opens", "lattice")  # opens: a frozenset of FuzzySet, each <= ambient
 
-    def __post_init__(self):
-        object.__setattr__(self, "_ints", _IntView(self))
+    def __init__(self, ambient: FuzzySet, opens: frozenset, lattice: GradeLattice):
+        self._set(ambient=ambient, opens=opens, lattice=lattice)
+        self._set(_ints=_IntView(self))  # what the scans read
 
     @classmethod
     def literal(cls, ambient: FuzzySet, opens: list, lattice: GradeLattice,
@@ -280,12 +277,11 @@ def is_hausdorff(tau: FuzzyTopology) -> Verdict:
     return Verdict.passed()
 
 
-@dataclass(frozen=True)
-class TopoMapFlags:
-    continuous: bool
-    open: bool
-    homeomorphism: bool
-    witness: object = None
+class TopoMapFlags(Frozen):
+    _fields = ("continuous", "open", "homeomorphism", "witness")
+
+    def __init__(self, continuous: bool, open: bool, homeomorphism: bool, witness=None):
+        self._set(continuous=continuous, open=open, homeomorphism=homeomorphism, witness=witness)
 
 
 def check_map(f: ProperFunction, tau_src: FuzzyTopology, tau_tgt: FuzzyTopology) -> TopoMapFlags:

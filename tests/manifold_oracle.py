@@ -20,7 +20,6 @@ factor covers.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import permutations, product
 from typing import Optional
 
@@ -73,12 +72,10 @@ def check_c1_tabulated(coords, values, tol: Tolerances = Tolerances()) -> C1Repo
             jump = abs(d[i + 1] - d[i]) / ds if ds > 0 else 0.0
             report.max_derivative_jump = max(report.max_derivative_jump, jump)
             if jump > tol.lipschitz_cap:
-                return replace(
-                    report,
-                    ok=False,
-                    reason="difference quotient jumps between adjacent rows",
-                    witness=(float(coords[idx[i]]), float(coords[idx[i + 1]])),
-                )
+                return C1Report(False, "difference quotient jumps between adjacent rows",
+                                (float(coords[idx[i]]), float(coords[idx[i + 1]])),
+                                report.max_stability_error, report.max_derivative_jump,
+                                report.checked_points)
     if report.checked_points == 0:
         return C1Report(False, "grid too small", witness=len(coords))
     return report

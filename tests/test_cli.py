@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import math
 import os
@@ -12,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fuzzcheck
+from fuzzcheck import manifold
 from fuzzcheck.cli import build_parser, execute
 from fuzzcheck.manifold import Tolerances
 from fuzzcheck.sets import MAX_COMMON_DENOMINATOR
@@ -605,6 +605,47 @@ class TestDemos:
         assert fields["VERDICT"] == "error"
         assert fields["WITNESS_REASON"] == "sample count must be at least 1"
 
+    @pytest.mark.parametrize("argv, reason", [
+        (("demo-circle", "--samples-per-chart", "3"),
+         "--samples-per-chart must be between 4 and 65536, got 3"),
+        (("demo-circle", "--samples-per-chart", "-5"),
+         "--samples-per-chart must be between 4 and 65536, got -5"),
+        (("demo-circle", "--samples-per-chart", "65537"),
+         "--samples-per-chart must be between 4 and 65536, got 65537"),
+        (("demo-gl", "--count", "10001"), "--count must be at most 10000, got 10001"),
+    ])
+    def test_demo_size_out_of_range_is_refused(self, argv, reason):
+        code, out = run(*argv, "--format", "machine")
+        assert code == 2
+        fields = lines_of(out)
+        assert (fields["VERDICT"], fields["WITNESS_REASON"]) == ("error", reason)
+
+    @pytest.mark.parametrize("argv, builder, size", [
+        (("demo-circle", "--samples-per-chart", "65536"), "circle_phi_atlas", 65536),
+        (("demo-gl", "--count", "1"), "gl_demo", 1),
+        (("demo-gl", "--count", "10000"), "gl_demo", 10000),
+    ])
+    def test_demo_size_at_the_ends_of_its_range_is_taken(self, monkeypatch, argv, builder, size):
+        """The demo starts at each end of its range (demo-circle's lower end
+        runs in full below); it is stopped where it starts, as the top ends
+        take seconds."""
+        class Started(Exception):
+            pass
+
+        def start(*args, **kwargs):
+            raise Started(*args)
+
+        monkeypatch.setattr(manifold, builder, start)
+        with pytest.raises(Started) as started:
+            run(*argv)
+        assert size in started.value.args
+
+    def test_circle_demo_at_four_samples_reaches_a_verdict(self):
+        code, out = run("demo-circle", "--samples-per-chart", "4", "--format", "machine")
+        assert code == 1
+        assert lines_of(out)["WITNESS_REASON"] == (
+            "cover supremum below 1 as the memberships are written")
+
     def test_bad_tolerance_name_rejected(self):
         code, out = run("demo-circle", "--samples-per-chart", "64",
                         "--tolerance", "nope=1", "--format", "machine")
@@ -778,11 +819,11 @@ class TestToleranceValues:
         assert run("check-atlas", half, half)[0] == 1
         assert run("check-atlas", half, half, "--tolerance", "cover_eps=0.5")[0] == 0
 
-    @pytest.mark.parametrize("field", dataclasses.fields(Tolerances), ids=lambda f: f.name)
-    def test_demo_circle_takes_every_tolerance(self, field):
+    @pytest.mark.parametrize("name", Tolerances._fields)
+    def test_demo_circle_takes_every_tolerance(self, name):
         plain = run("demo-circle", "--samples-per-chart", "64", "--format", "machine")
         assert run("demo-circle", "--samples-per-chart", "64", "--format", "machine",
-                   "--tolerance", f"{field.name}={field.default}") == plain
+                   "--tolerance", f"{name}={getattr(Tolerances(), name)}") == plain
 
     def test_h_min_is_no_tolerance(self):
         """The stability tolerance's reference step is the constant H_REF."""
@@ -943,6 +984,12 @@ class TestEntryPoint:
             proc = spawn(*argv)
             assert (proc.returncode, proc.stderr) == (code, b""), argv
             assert run(*argv) == (code, proc.stdout.decode()), argv
+
+    def test_import_generates_no_code(self):
+        """The value classes are plain classes: importing the CLI leaves
+        `dataclasses`, whose decorator writes and execs methods, unloaded."""
+        proc = spawn(script="import sys, fuzzcheck.cli; print('dataclasses' in sys.modules)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
 
     def test_help_is_zero(self):
         proc = spawn("--help")
