@@ -290,12 +290,18 @@ def cmd_check_atlas(args) -> Report:
 MIN_SAMPLES_PER_CHART, MAX_SAMPLES_PER_CHART, MAX_GL_COUNT = 4, 65536, 10000
 
 
+def _flag_in_range(flag: str, value: int, lo: int, hi=None) -> int:
+    """value, refused with the flag's name unless lo <= value (<= hi)."""
+    if value < lo or (hi is not None and value > hi):
+        bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+        raise FuzzcheckError(f"{flag} must be {bound}, got {value}")
+    return value
+
+
 def cmd_demo_circle(args) -> Report:
     tol = _tolerances(args)
-    n = args.samples_per_chart
-    if not MIN_SAMPLES_PER_CHART <= n <= MAX_SAMPLES_PER_CHART:
-        raise FuzzcheckError(f"--samples-per-chart must be between {MIN_SAMPLES_PER_CHART} "
-                             f"and {MAX_SAMPLES_PER_CHART}, got {n}")
+    n = _flag_in_range("--samples-per-chart", args.samples_per_chart,
+                       MIN_SAMPLES_PER_CHART, MAX_SAMPLES_PER_CHART)
     phi = manifold.circle_phi_atlas(n, tol)
     psi = manifold.circle_psi_atlas(n, tol)
     # The pairs within phi, then within psi, then across, in that order:
@@ -338,9 +344,9 @@ def cmd_demo_circle(args) -> Report:
 
 
 def cmd_demo_gl(args) -> Report:
-    if args.count > MAX_GL_COUNT:
-        raise FuzzcheckError(f"--count must be at most {MAX_GL_COUNT}, got {args.count}")
-    report = manifold.gl_demo(args.n, args.count, seed=args.seed)
+    report = manifold.gl_demo(_flag_in_range("--n", args.n, 1, 4),
+                              _flag_in_range("--count", args.count, 1, MAX_GL_COUNT),
+                              seed=_flag_in_range("--seed", args.seed, 0))
     return Report(
         "demo-gl",
         "pass" if report.ok else "fail",

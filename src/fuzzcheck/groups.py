@@ -25,9 +25,8 @@ from .topology import DEFAULT_CLOSURE_CAP, FuzzyTopology, check_map, product_top
 class FiniteGroup(Frozen):
     """Element list and square Cayley table; identity and inverses are read off it."""
 
-    _fields = ("carrier", "table")  # table[i][j] = carrier.elements[i] * carrier.elements[j]
-
     def __init__(self, carrier: Carrier, table):
+        # table[i][j] = carrier.elements[i] * carrier.elements[j]
         table = tuple(tuple(row) for row in table)
         n = len(carrier)
         if len(table) != n or any(len(row) != n for row in table):
@@ -141,9 +140,8 @@ def is_fuzzy_topological_group(group: FiniteGroup, tau: FuzzyTopology,
 class FiniteAction(Frozen):
     """Group action on a finite space carrying an ambient fuzzy set."""
 
-    _fields = ("group", "space", "ambient", "table")  # table[gi][xi] = gi acting on point xi
-
     def __init__(self, group: FiniteGroup, space: Carrier, ambient: FuzzySet, table):
+        # table[gi][xi] = gi acting on point xi
         table = tuple(tuple(row) for row in table)
         if ambient.carrier != space:
             raise CarrierMismatchError("ambient fuzzy set must live on the action space")
@@ -250,9 +248,7 @@ def restrict_to_invariant(action: FiniteAction, s: FuzzySet) -> FiniteAction:
 class EquivalenceRelation(Frozen):
     """Partition of the action space into disjoint nonempty classes."""
 
-    _fields = ("classes",)  # tuple of tuples of space elements
-
-    def __init__(self, classes):
+    def __init__(self, classes):  # classes: tuple of tuples of space elements
         self._set(classes=tuple(tuple(c) for c in classes))
         seen = set()
         for c in self.classes:

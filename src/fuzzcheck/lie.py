@@ -29,8 +29,6 @@ class StructureConstants(Frozen):
     pairs bracket to 0.  `scale` is the lcm of the rational coefficients'
     denominators."""
 
-    _fields = ("dim", "scale", "ints")
-
     def __init__(self, dim: int, scale: int, ints: dict):
         self._set(dim=dim, scale=scale, ints=ints)
 
@@ -136,9 +134,7 @@ _OPS = {
 
 
 class Condition(Frozen):
-    _fields = ("coord", "op")  # coord is zero-based
-
-    def __init__(self, coord: int, op: str):
+    def __init__(self, coord: int, op: str):  # coord is zero-based
         if op not in _OPS:
             raise ValueError(f"unknown condition operator {op!r}")
         self._set(coord=coord, op=op)
@@ -148,9 +144,7 @@ class Condition(Frozen):
 
 
 class ClassifierCase(Frozen):
-    _fields = ("conditions", "grade")  # conditions: a conjunction of Condition
-
-    def __init__(self, conditions, grade: Fraction):
+    def __init__(self, conditions, grade: Fraction):  # conditions: a conjunction of Condition
         self._set(conditions=tuple(conditions), grade=as_grade(grade))
 
     def matches(self, vector) -> bool:
@@ -160,9 +154,7 @@ class ClassifierCase(Frozen):
 class MembershipClassifier(Frozen):
     """First-match list of (conjunctive condition, grade) cases plus default."""
 
-    _fields = ("dim", "cases", "default")  # cases: a tuple of ClassifierCase
-
-    def __init__(self, dim: int, cases, default: Fraction):
+    def __init__(self, dim: int, cases, default: Fraction):  # cases: a tuple of ClassifierCase
         self._set(dim=dim, cases=tuple(cases), default=as_grade(default))
         for case in self.cases:
             for cond in case.conditions:
@@ -182,9 +174,7 @@ class MembershipClassifier(Frozen):
 class SampleSet(Frozen):
     """Finite witness domain for the universally quantified conditions."""
 
-    _fields = ("vectors", "scalars")  # rational vectors, rationals
-
-    def __init__(self, vectors, scalars):
+    def __init__(self, vectors, scalars):  # rational vectors, rationals
         vectors = tuple(_vec(v) for v in vectors)
         scalars = tuple(Fraction(s) for s in scalars)
         if not vectors:

@@ -3,8 +3,8 @@ C1 smoothness checks, product atlases, Jacobian ranks, and the invertible-
 matrix demo.
 
 Unlike the exact modules, membership grades here are floats and every
-verdict is tolerance-based.  All tolerances are named fields with defaults
-on Tolerances.
+verdict is tolerance-based.  The tolerances a caller may vary are named
+fields with defaults on Tolerances; the fixed ones are module constants.
 """
 
 from __future__ import annotations
@@ -18,31 +18,25 @@ import numpy as np
 from .record import Frozen, Record
 
 H_REF = 1e-5  # the step at which eps_deriv holds as given; at step h it scales by (h/H_REF)^2
+EDGE_MARGIN_FRAC = 0.05  # fraction of a component span skipped at its edges
+SEAM_MARGIN_FACTOR = 8.0  # skip radius around declared seams, in units of h0
 
 
 class Tolerances(Frozen):
-    _fields = ("eps_inv", "eps_deriv", "h0", "cover_eps", "lipschitz_cap", "edge_margin_frac",
-               "seam_margin_factor")
-
     def __init__(self,
                  eps_inv=1e-9,        # coord o coord_inverse round-trip error
                  eps_deriv=1e-6,      # finite-difference stability, relative, at h = H_REF
                  h0=1e-3,             # initial central-difference step (two halvings follow)
                  cover_eps=0.0,       # allowed cover deficiency
-                 lipschitz_cap=1e3,   # max |dD/ds| between adjacent derivative samples
-                 edge_margin_frac=0.05,  # fraction of a component span skipped at its edges
-                 seam_margin_factor=8.0):  # skip radius around declared seams, in units of h0
+                 lipschitz_cap=1e3):  # max |dD/ds| between adjacent derivative samples
         self._set(eps_inv=eps_inv, eps_deriv=eps_deriv, h0=h0, cover_eps=cover_eps,
-                  lipschitz_cap=lipschitz_cap, edge_margin_frac=edge_margin_frac,
-                  seam_margin_factor=seam_margin_factor)
+                  lipschitz_cap=lipschitz_cap)
 
 
 class SampledChart(Frozen):
     """Fuzzy chart realized numerically: membership and a coordinate
     bijection defined on the membership's support.  A tabulated chart has
     no inverse formula, so its coord_inverse is None."""
-
-    _fields = ("label", "membership", "coord", "coord_inverse")
 
     def __init__(self, label: str, membership: Callable[[object], float],
                  coord: Callable[[object], float],
@@ -54,8 +48,6 @@ class Atlas(Frozen):
     """Charts over shared manifold sample points; the seam points are where
     chart formulas break."""
 
-    _fields = ("charts", "samples", "tolerances", "seam_points")
-
     def __init__(self, charts, samples, tolerances: Tolerances = Tolerances(), seam_points=()):
         self._set(charts=tuple(charts), samples=tuple(samples), tolerances=tolerances,
                   seam_points=tuple(seam_points))
@@ -64,8 +56,6 @@ class Atlas(Frozen):
 
 
 class CoverReport(Frozen):
-    _fields = ("ok", "max_deficiency", "worst_point")
-
     def __init__(self, ok: bool, max_deficiency: float, worst_point):
         self._set(ok=ok, max_deficiency=max_deficiency, worst_point=worst_point)
 
@@ -98,12 +88,11 @@ class TransitionMap(Frozen):
     """phi_l o phi_j^{-1}, tabulated over the sampled overlap and callable
     anywhere the chart formulas are defined: coords are the overlap samples'
     source-chart coordinates, sorted, values their target-chart coordinates,
-    and seams the seam locations in source coordinates."""
+    both tuples of floats, and seams the seam locations in source
+    coordinates."""
 
-    _fields = ("source", "target", "coords", "values", "seams")
-
-    def __init__(self, source: SampledChart, target: SampledChart, coords: np.ndarray,
-                 values: np.ndarray, seams: tuple):
+    def __init__(self, source: SampledChart, target: SampledChart, coords: tuple,
+                 values: tuple, seams: tuple):
         self._set(source=source, target=target, coords=coords, values=values, seams=seams)
 
     def __call__(self, s: float) -> float:
@@ -129,7 +118,7 @@ def transition_map(atlas: Atlas, j: int, l: int) -> TransitionMap:
             if abs(src.coord(src.coord_inverse(float(s))) - s) > tol.eps_inv:
                 raise ValueError(f"chart {src.label}: coord o coord_inverse deviates at {s}")
     seams = tuple(sorted({src.coord(p) for p in atlas.seam_points if src.membership(p) > 0.0}))
-    return TransitionMap(src, tgt, coords, values, seams)
+    return TransitionMap(src, tgt, tuple(coords.tolist()), tuple(values.tolist()), seams)
 
 
 def _central(fn, x: float, h: float):
@@ -145,9 +134,6 @@ def _relative_error(approx, ref) -> float:
 
 
 class C1Report(Record):
-    _fields = ("ok", "reason", "witness", "max_stability_error", "max_derivative_jump",
-               "checked_points")
-
     def __init__(self, ok: bool, reason: str = "", witness=None,
                  max_stability_error=0.0,   # max relative |D_{h/2} - D_{h/4}|
                  max_derivative_jump=0.0,   # max |dD/ds| between adjacent samples
@@ -216,11 +202,11 @@ def check_c1_diffeo(fn: Callable[[float], float], grid, tol: Tolerances = Tolera
         )
 
     report = C1Report(True)
-    seam_margin = tol.seam_margin_factor * tol.h0
+    seam_margin = SEAM_MARGIN_FACTOR * tol.h0
     for piece in _split_components(grid, seams):
         comp = grid[piece]
         span = float(comp[-1] - comp[0])
-        margin = max(seam_margin, tol.edge_margin_frac * span)
+        margin = max(seam_margin, EDGE_MARGIN_FRAC * span)
         lo, hi = comp[0] + margin, comp[-1] - margin
         pts = [float(s) for s in comp if lo <= s <= hi
                and all(abs(s - seam) >= seam_margin for seam in seams)]
@@ -251,15 +237,11 @@ def check_c1_diffeo(fn: Callable[[float], float], grid, tol: Tolerances = Tolera
 
 
 class PairCheck(Record):
-    _fields = ("source_label", "target_label", "report")
-
     def __init__(self, source_label: str, target_label: str, report: C1Report):
         self._set(source_label=source_label, target_label=target_label, report=report)
 
 
 class AtlasReport(Record):
-    _fields = ("cover", "pairs", "transitions_ok")
-
     def __init__(self, cover: CoverReport, pairs: list, transitions_ok: bool):
         self._set(cover=cover, pairs=pairs, transitions_ok=transitions_ok)
 
@@ -473,9 +455,6 @@ def numeric_rank(fn: Callable, point) -> int:
 
 
 class GLDemoReport(Record):
-    _fields = ("n", "samples", "max_det_gradient_error", "max_mult_instability",
-               "max_inv_instability", "max_orthogonality_error", "inclusion_rank", "ok")
-
     def __init__(self, n: int, samples: int,
                  max_det_gradient_error,   # finite differences vs adjugate formula
                  max_mult_instability,     # step-halving residual for products

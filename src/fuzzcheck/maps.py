@@ -25,9 +25,8 @@ def indices(carrier, labels, stray: str) -> tuple:
 class ProperFunction(Frozen):
     """Crisp total map between the carriers of two fuzzy sets."""
 
-    _fields = ("source", "target", "images")  # images[i] = value at source.carrier.elements[i]
-
     def __init__(self, source: FuzzySet, target: FuzzySet, images):
+        # images[i] = value at source.carrier.elements[i]
         images = tuple(images)
         if len(images) != len(source.carrier):
             raise ValueError("map must be total on the source carrier")
@@ -43,8 +42,6 @@ class ProperFunction(Frozen):
 
 
 class MapFlags(Frozen):
-    _fields = ("injective", "surjective", "bijective", "witness")
-
     def __init__(self, injective: bool, surjective: bool, bijective: bool, witness=None):
         self._set(injective=injective, surjective=surjective, bijective=bijective, witness=witness)
 

@@ -6,11 +6,16 @@ from operator import attrgetter
 
 class Record:
     """Equal to an instance of its own class whose fields are equal, shown
-    as `Name(field=value, ...)`; mutable, so unhashable."""
+    as `Name(field=value, ...)`; mutable, so unhashable.  The fields are the
+    positional parameters of the class's own `__init__`, unless the class
+    names them in `_fields` itself."""
 
     _fields = ()
 
     def __init_subclass__(cls):
+        if "_fields" not in vars(cls) and "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
         if cls._fields:  # the field values: a tuple, or a lone field's value
             cls._values = property(attrgetter(*cls._fields))
 

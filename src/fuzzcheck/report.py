@@ -26,8 +26,6 @@ def fmt_value(v) -> str:
 
 
 class Report(Record):
-    _fields = ("command", "verdict", "provenance", "witness", "metrics", "notes")
-
     def __init__(self, command: str, verdict: str, provenance: str, witness: dict = None,
                  metrics: dict = None, notes: list = None):  # verdict: "pass" | "fail" | "error"
         self._set(command=command, verdict=verdict, provenance=provenance,

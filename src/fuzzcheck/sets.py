@@ -80,8 +80,6 @@ def format_grade(g: Fraction) -> str:
 class Verdict(Frozen):
     """Outcome of a checked property: ok, or a reason plus the first witness."""
 
-    _fields = ("ok", "reason", "witness")
-
     def __init__(self, ok: bool, reason: str = "", witness: Any = None):
         self._set(ok=ok, reason=reason, witness=witness)
 
@@ -104,8 +102,6 @@ class Verdict(Frozen):
 
 class Carrier(Frozen):
     """Finite ordered list of distinct opaque labels."""
-
-    _fields = ("elements",)
 
     def __init__(self, elements):
         self._set(elements=tuple(elements))
@@ -218,8 +214,6 @@ class FuzzySet(Frozen):
 
 class FuzzyPoint(Frozen):
     """A carrier element together with a positive height."""
-
-    _fields = ("base", "height")
 
     def __init__(self, base: Any, height: Fraction):
         h = as_grade(height)

@@ -27,8 +27,6 @@ DEFAULT_CLOSURE_CAP = 10**6
 class GradeLattice(Frozen):
     """The grades {k/q : 0 <= k <= q}; closed under min/max."""
 
-    _fields = ("q",)
-
     def __init__(self, q: int):
         if q < 1:
             raise ValueError("lattice resolution must be a positive integer")
@@ -90,9 +88,8 @@ class _IntView:
 
 
 class FuzzyTopology(Frozen):
-    _fields = ("ambient", "opens", "lattice")  # opens: a frozenset of FuzzySet, each <= ambient
-
     def __init__(self, ambient: FuzzySet, opens: frozenset, lattice: GradeLattice):
+        # opens: a frozenset of FuzzySet, each <= ambient
         self._set(ambient=ambient, opens=opens, lattice=lattice)
         self._set(_ints=_IntView(self))  # what the scans read
 
@@ -278,8 +275,6 @@ def is_hausdorff(tau: FuzzyTopology) -> Verdict:
 
 
 class TopoMapFlags(Frozen):
-    _fields = ("continuous", "open", "homeomorphism", "witness")
-
     def __init__(self, continuous: bool, open: bool, homeomorphism: bool, witness=None):
         self._set(continuous=continuous, open=open, homeomorphism=homeomorphism, witness=witness)
 

@@ -603,7 +603,7 @@ class TestDemos:
         assert code == 2
         fields = lines_of(out)
         assert fields["VERDICT"] == "error"
-        assert fields["WITNESS_REASON"] == "sample count must be at least 1"
+        assert fields["WITNESS_REASON"] == f"--count must be between 1 and 10000, got {count}"
 
     @pytest.mark.parametrize("argv, reason", [
         (("demo-circle", "--samples-per-chart", "3"),
@@ -612,7 +612,10 @@ class TestDemos:
          "--samples-per-chart must be between 4 and 65536, got -5"),
         (("demo-circle", "--samples-per-chart", "65537"),
          "--samples-per-chart must be between 4 and 65536, got 65537"),
-        (("demo-gl", "--count", "10001"), "--count must be at most 10000, got 10001"),
+        (("demo-gl", "--count", "10001"), "--count must be between 1 and 10000, got 10001"),
+        (("demo-gl", "--n", "0"), "--n must be between 1 and 4, got 0"),
+        (("demo-gl", "--n", "5"), "--n must be between 1 and 4, got 5"),
+        (("demo-gl", "--seed", "-1"), "--seed must be at least 0, got -1"),
     ])
     def test_demo_size_out_of_range_is_refused(self, argv, reason):
         code, out = run(*argv, "--format", "machine")
@@ -824,6 +827,14 @@ class TestToleranceValues:
         plain = run("demo-circle", "--samples-per-chart", "64", "--format", "machine")
         assert run("demo-circle", "--samples-per-chart", "64", "--format", "machine",
                    "--tolerance", f"{name}={getattr(Tolerances(), name)}") == plain
+
+    @pytest.mark.parametrize("name", ["edge_margin_frac", "seam_margin_factor"])
+    def test_demo_circle_margins_are_no_tolerance(self, name):
+        """The C1 scan's edge and seam margins are the module constants."""
+        code, out = run("demo-circle", "--samples-per-chart", "64", "--format", "machine",
+                        "--tolerance", f"{name}=0.5")
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"].startswith(f"unknown tolerance {name!r}")
 
     def test_h_min_is_no_tolerance(self):
         """The stability tolerance's reference step is the constant H_REF."""

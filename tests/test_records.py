@@ -17,7 +17,7 @@ from fuzzcheck.lie import (
 )
 from fuzzcheck.manifold import (
     Atlas, AtlasReport, C1Report, CoverReport, GLDemoReport, PairCheck, SampledChart,
-    Tolerances, TransitionMap,
+    Tolerances, TransitionMap, circle_phi_atlas, transition_map,
 )
 from fuzzcheck.maps import MapFlags, ProperFunction
 from fuzzcheck.record import Frozen, Record
@@ -60,10 +60,9 @@ CASES = [
      {}, ("default", F(1, 4))),
     (SampleSet, dict(vectors=((F(0), F(0)), (F(1), F(0))), scalars=(F(2),)), {},
      ("scalars", (F(3),))),
-    (Tolerances, dict(eps_inv=1e-8, eps_deriv=1e-5, h0=1e-2, cover_eps=0.1, lipschitz_cap=10.0,
-                      edge_margin_frac=0.1, seam_margin_factor=4.0),
-     dict(eps_inv=1e-9, eps_deriv=1e-6, h0=1e-3, cover_eps=0.0, lipschitz_cap=1e3,
-          edge_margin_frac=0.05, seam_margin_factor=8.0), ("cover_eps", 0.2)),
+    (Tolerances, dict(eps_inv=1e-8, eps_deriv=1e-5, h0=1e-2, cover_eps=0.1, lipschitz_cap=10.0),
+     dict(eps_inv=1e-9, eps_deriv=1e-6, h0=1e-3, cover_eps=0.0, lipschitz_cap=1e3),
+     ("cover_eps", 0.2)),
     (SampledChart, dict(label="c", membership=abs, coord=float, coord_inverse=None), {},
      ("label", "d")),
     (Atlas, dict(charts=(CHART,), samples=(0.0, 0.5), tolerances=Tolerances(h0=0.1),
@@ -113,6 +112,16 @@ def test_record_contract(cls, fields, defaults, change):
         with pytest.raises(AttributeError):
             setattr(a, name, value)
         assert getattr(a, name) == fields[name]
+
+
+def test_transition_map_of_an_atlas_keeps_the_contract():
+    """transition_map stores its table as tuples of floats, so the map of
+    one chart pair compares and hashes equal to itself rebuilt."""
+    atlas = circle_phi_atlas(16)
+    a, b = transition_map(atlas, 0, 1), transition_map(atlas, 0, 1)
+    assert a == b and hash(a) == hash(b) and a != transition_map(atlas, 1, 0)
+    assert {type(v) for v in a.coords + a.values} == {float}
+    assert list(a.coords) == sorted(a.coords) and len(a.coords) == len(a.values) == 14
 
 
 def test_fuzzy_set_contract():

@@ -3,6 +3,7 @@ reference in `topology_oracle.py`.  Opens, verdicts and witnesses must be
 equal, down to the repr of every witness."""
 
 import random
+import time
 from fractions import Fraction as F
 
 from hypothesis import assume, given, settings, strategies as st
@@ -278,3 +279,23 @@ def test_discrete_topology_scans_match_reference():
     assert tau.opens == oracle.generate(ambient, points, GradeLattice(2)).opens
     assert_scans_agree(tau)
     assert verify_axioms(tau).ok and is_T1(tau).ok and is_hausdorff(tau).ok
+
+
+def test_wide_carrier_scans_stay_fast():
+    """The timing rung on 2,000-point carriers with an all-ones ambient:
+    generate and the three scans over q=2 with no generator, q=4 with one
+    random generator and q=3 with two, in under 2 s in all.  A walk over
+    minimal neighbourhoods point by point would take seconds on the first
+    shape alone."""
+    rng = random.Random(7)
+    carrier = Carrier(tuple(f"p{i}" for i in range(2000)))
+    ambient = FuzzySet.ones(carrier)
+    shapes = [(q, [FuzzySet(carrier, tuple(F(rng.randint(0, q), q) for _ in carrier))
+                   for _ in range(count)])
+              for q, count in ((2, 0), (4, 1), (3, 2))]
+    start = time.perf_counter()
+    for q, gens in shapes:
+        tau = generate(ambient, gens, GradeLattice(q))
+        verdicts = verify_axioms(tau), is_T1(tau), is_hausdorff(tau)
+        assert [v.ok for v in verdicts] == [True, False, False]
+    assert time.perf_counter() - start < 2.0
