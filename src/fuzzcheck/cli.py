@@ -254,7 +254,9 @@ def cmd_level_set(args) -> Report:
 def cmd_check_atlas(args) -> Report:
     # A tabulated atlas has no formulas to differentiate: only these two apply.
     tol = _tolerances(args, {"cover_eps", "lipschitz_cap"})
-    tables = [load_chart_table(p) for p in args.charts]
+    shared = {}  # one tuple per point, whichever charts list it
+    tables = [load_chart_table(p, shared) for p in args.charts]
+    del shared  # the check indexes the points itself; freeing this first lowers its peak
     report = manifold.check_tabulated_atlas(tables, tol,
                                             normalize_cover=args.normalize_cover)
     rep = Report(
@@ -284,9 +286,10 @@ def cmd_check_atlas(args) -> Report:
     return rep
 
 
-# A demo's cost grows linearly in its size; at these maxima demo-circle takes
-# about 2 s and 44 MiB, demo-gl --n 4 about 2 s.  Below 4 samples per chart,
-# psi1 and psi2 share none.
+# A demo's cost grows linearly in its size.  At these maxima, on a 2-core VM
+# where `python -c pass` takes 0.04 s, demo-circle takes about 2.4 s and
+# 50 MiB, and demo-gl --n 4 about 3.2 s and 37 MiB.  Below 4 samples per
+# chart, psi1 and psi2 share none.
 MIN_SAMPLES_PER_CHART, MAX_SAMPLES_PER_CHART, MAX_GL_COUNT = 4, 65536, 10000
 
 

@@ -10,6 +10,7 @@ fields with defaults on Tolerances; the fixed ones are module constants.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import permutations, product
 from typing import Callable, Optional, Sequence
 
@@ -36,7 +37,8 @@ class Tolerances(Frozen):
 class SampledChart(Frozen):
     """Fuzzy chart realized numerically: membership and a coordinate
     bijection defined on the membership's support.  A tabulated chart has
-    no inverse formula, so its coord_inverse is None."""
+    no formulas at all: its membership, coord and coord_inverse are None,
+    and its atlas holds its table."""
 
     def __init__(self, label: str, membership: Callable[[object], float],
                  coord: Callable[[object], float],
@@ -46,13 +48,40 @@ class SampledChart(Frozen):
 
 class Atlas(Frozen):
     """Charts over shared manifold sample points; the seam points are where
-    chart formulas break."""
+    chart formulas break.  Every chart's membership is read once per
+    sample, into `grades`, and its coordinate at most once per sample, when
+    a transition first needs it."""
 
     def __init__(self, charts, samples, tolerances: Tolerances = Tolerances(), seam_points=()):
         self._set(charts=tuple(charts), samples=tuple(samples), tolerances=tolerances,
                   seam_points=tuple(seam_points))
         if not self.charts:
             raise ValueError("an atlas needs at least one chart")
+
+    @cached_property
+    def grades(self) -> np.ndarray:
+        """The (charts x samples) float64 memberships."""
+        grades = np.empty((len(self.charts), len(self.samples)))
+        for row, chart in zip(grades, self.charts):
+            row[:] = np.fromiter(map(chart.membership, self.samples), float, len(self.samples))
+        return grades
+
+    @cached_property
+    def _coord_columns(self) -> list:
+        """Per chart, its coordinates at the samples and which of them are
+        read so far."""
+        n = len(self.samples)
+        return [(np.zeros(n), np.zeros(n, dtype=bool)) for _ in self.charts]
+
+    def _coordinates(self, j: int, ids: np.ndarray) -> np.ndarray:
+        """Chart j's coordinates at the sample ids."""
+        column, known = self._coord_columns[j]
+        todo = ids[~known[ids]]
+        if todo.size:
+            chart, samples = self.charts[j], self.samples
+            column[todo] = np.array([chart.coord(samples[i]) for i in todo.tolist()], dtype=float)
+            known[todo] = True
+        return column[ids]
 
 
 class CoverReport(Frozen):
@@ -61,16 +90,20 @@ class CoverReport(Frozen):
 
 
 def check_cover_condition(atlas: Atlas, normalize: bool = False) -> CoverReport:
-    """Per sample, 1 - sup of chart memberships.  Never repairs an atlas:
-    with normalize=True each positive sup is rescaled to 1 (the intended
-    reading), otherwise the raw supremum is reported."""
+    """Per sample, 1 - sup of chart memberships; the worst point is the
+    first sample of the largest positive deficiency.  Never repairs an
+    atlas: with normalize=True each positive sup is rescaled to 1 (the
+    intended reading), otherwise the raw supremum is reported."""
+    sup = atlas.grades.max(axis=0)
+    if normalize:
+        sup[sup > 0.0] = 1.0
+    deficiency = 1.0 - sup
     worst, worst_point = 0.0, None
-    for p in atlas.samples:
-        deficiency = cover_deficiency_at(atlas, p, normalize)
-        if deficiency > worst:
-            worst, worst_point = deficiency, p
-    ok = worst <= atlas.tolerances.cover_eps
-    return CoverReport(ok, worst, worst_point)
+    if deficiency.size:
+        i = int(np.argmax(deficiency))
+        if deficiency[i] > 0.0:
+            worst, worst_point = float(deficiency[i]), atlas.samples[i]
+    return CoverReport(worst <= atlas.tolerances.cover_eps, worst, worst_point)
 
 
 def cover_deficiency_at(atlas: Atlas, point, normalize: bool = False) -> float:
@@ -99,24 +132,31 @@ class TransitionMap(Frozen):
         return self.target.coord(self.source.coord_inverse(s))
 
 
-def transition_map(atlas: Atlas, j: int, l: int) -> TransitionMap:
-    """Transition from chart j to chart l, tabulated over the shared
-    samples lying in both supports."""
+def _overlap_table(atlas: Atlas, j: int, l: int):
+    """(coords, values) arrays of the transition from chart j to chart l:
+    the source and target coordinates of the samples in both supports,
+    ordered by source coordinate."""
     src, tgt = atlas.charts[j], atlas.charts[l]
-    tol = atlas.tolerances
-    pts = [p for p in atlas.samples if src.membership(p) > 0.0 and tgt.membership(p) > 0.0]
-    if not pts:
+    ids = np.flatnonzero((atlas.grades[j] > 0.0) & (atlas.grades[l] > 0.0))
+    if not ids.size:
         raise EmptyOverlapError(f"charts {src.label} and {tgt.label} do not overlap on the samples")
-    coords = np.array([src.coord(p) for p in pts], dtype=float)
-    values = np.array([tgt.coord(p) for p in pts], dtype=float)
+    coords, values = atlas._coordinates(j, ids), atlas._coordinates(l, ids)
     order = np.argsort(coords)
     coords, values = coords[order], values[order]
     # coord_inverse consistency on the sampled coordinates; a tabulated
     # chart has no inverse to check.
     if src.coord_inverse is not None:
         for s in coords[:: max(1, len(coords) // 32)]:
-            if abs(src.coord(src.coord_inverse(float(s))) - s) > tol.eps_inv:
+            if abs(src.coord(src.coord_inverse(float(s))) - s) > atlas.tolerances.eps_inv:
                 raise ValueError(f"chart {src.label}: coord o coord_inverse deviates at {s}")
+    return coords, values
+
+
+def transition_map(atlas: Atlas, j: int, l: int) -> TransitionMap:
+    """Transition from chart j to chart l, tabulated over the shared
+    samples lying in both supports."""
+    src, tgt = atlas.charts[j], atlas.charts[l]
+    coords, values = _overlap_table(atlas, j, l)
     seams = tuple(sorted({src.coord(p) for p in atlas.seam_points if src.membership(p) > 0.0}))
     return TransitionMap(src, tgt, tuple(coords.tolist()), tuple(values.tolist()), seams)
 
@@ -142,16 +182,26 @@ class C1Report(Record):
                   max_derivative_jump=max_derivative_jump, checked_points=checked_points)
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median's value, NaN when any value is NaN, without the numpy.ma
+    import that np.median makes on its first call (about 11 ms and 1 MiB)."""
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    if np.isnan(ordered[-1]):  # NaN sorts last
+        return math.nan
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def _split_components(grid: np.ndarray, seams: Sequence[float]) -> list:
     """Slices of a sorted grid's connected pieces, split at declared seams
     and at gaps much larger than the local spacing.  Callers pass at least
     3 points; below that they report "grid too small" themselves."""
     diffs = np.diff(grid)
-    median = float(np.median(diffs))
-    cuts = [i + 1 for i, d in enumerate(diffs)
-            if any(grid[i] <= seam <= grid[i + 1] for seam in seams)
-            or (median > 0 and d > 10.0 * median)]
-    bounds = [0, *cuts, len(grid)]
+    median = _median(diffs)
+    cut = diffs > 10.0 * median if median > 0 else np.zeros(len(diffs), dtype=bool)
+    for seam in seams:
+        cut |= (grid[:-1] <= seam) & (seam <= grid[1:])
+    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(grid)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -252,19 +302,21 @@ class AtlasReport(Record):
 
 def _check_pairs(atlas: Atlas, index_pairs) -> list:
     """The C1 check of each transition j -> l whose charts overlap on the
-    samples: check_c1_tabulated over the overlap table when either chart is
-    tabulated, so has no inverse formula, and check_c1_diffeo otherwise."""
+    samples: check_c1_tabulated over the overlap table when either chart has
+    no inverse formula, and check_c1_diffeo otherwise."""
     pairs = []
     for j, l in index_pairs:
+        src, tgt = atlas.charts[j], atlas.charts[l]
+        tabulated = src.coord_inverse is None or tgt.coord_inverse is None
         try:
-            tr = transition_map(atlas, j, l)
+            tr = _overlap_table(atlas, j, l) if tabulated else transition_map(atlas, j, l)
         except EmptyOverlapError:
             continue
-        if tr.source.coord_inverse is None or tr.target.coord_inverse is None:
-            rep = check_c1_tabulated(tr.coords, tr.values, atlas.tolerances)
+        if tabulated:
+            rep = check_c1_tabulated(*tr, atlas.tolerances)
         else:
             rep = check_c1_diffeo(tr, tr.coords, atlas.tolerances, seams=tr.seams)
-        pairs.append(PairCheck(tr.source.label, tr.target.label, rep))
+        pairs.append(PairCheck(src.label, tgt.label, rep))
     return pairs
 
 
@@ -287,6 +339,11 @@ def check_compatible(a: Atlas, b: Atlas) -> list[PairCheck]:
     for src, dst in ((a, b), (b, a)):
         joined = Atlas(src.charts + dst.charts, src.samples, src.tolerances,
                        src.seam_points + dst.seam_points)
+        # The joined atlas reads the rows of its two atlases' arrays, not
+        # copies, so no membership is read again, and a coordinate read for
+        # one is read for all.
+        joined._set(grades=[*src.grades, *dst.grades],
+                    _coord_columns=src._coord_columns + dst._coord_columns)
         n = len(src.charts)
         pairs += _check_pairs(joined, product(range(n), range(n, len(joined.charts))))
     return pairs
@@ -424,14 +481,23 @@ def check_c1_tabulated(coords, values, tol: Tolerances = Tolerances()) -> C1Repo
 def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
                           normalize_cover: bool = False) -> AtlasReport:
     """Atlas checks over charts given as (params, points, memberships)
-    tables.  Rows are matched across charts by identical point tuples."""
-    charts, samples = [], {}
-    for j, (params, points, memberships) in enumerate(tables):
-        member = dict(zip(points, memberships))
-        charts.append(SampledChart(f"chart{j}", lambda p, member=member: member.get(p, 0.0),
-                                   dict(zip(points, params)).__getitem__, None))
-        samples.update(dict.fromkeys(points))
-    return check_atlas(Atlas(charts, samples, tol), normalize_cover=normalize_cover)
+    tables.  Rows are matched across charts by equal points, which index
+    the samples in the order they are first listed; a chart's membership is
+    0 at the samples it does not list."""
+    index, columns = {}, []  # point -> sample id; per chart, its rows' ids and columns
+    for params, points, memberships in tables:
+        ids = np.fromiter((index.setdefault(p, len(index)) for p in points), np.intp, len(points))
+        columns.append((ids, params, memberships))
+    atlas = Atlas([SampledChart(f"chart{j}", None, None, None) for j in range(len(columns))],
+                  index, tol)
+    grades, coord_columns = np.zeros((len(columns), len(index))), []
+    for row, (ids, params, memberships) in zip(grades, columns):
+        row[ids] = memberships
+        coords = np.zeros(len(index))
+        coords[ids] = params
+        coord_columns.append((coords, np.ones(len(index), dtype=bool)))
+    atlas._set(grades=grades, _coord_columns=coord_columns)
+    return check_atlas(atlas, normalize_cover=normalize_cover)
 
 
 # ---------------------------------------------------------------------------

@@ -375,11 +375,14 @@ def load_samples(path, dim: int) -> SampleSet:
     return _parse(path, 1, SampleSet, tuple(vectors), tuple(scalars))
 
 
-def load_chart_table(path):
+def load_chart_table(path, shared=None):
     """Rows `param x y ... membership`, one per point; returns (params,
-    points, memberships)."""
-    params, points, memberships = [], [], []
-    first = {}  # point -> the line that lists it
+    points, memberships), the params and memberships as array('d') columns.
+    The charts of one atlas pass one `shared` dict, which keeps the first
+    tuple read for each point, so later charts list that same tuple."""
+    from array import array  # numpy does not load it; importing it here spares every other request
+    params, points, memberships = array("d"), [], array("d")
+    first = {}  # point -> the line that lists it in this file
     width = None
     for no, line in _lines(path):
         parts = line.split()
@@ -398,6 +401,8 @@ def load_chart_table(path):
         if point in first:
             raise ParseError(path, no, f"point {' '.join(parts[1:-1])} already listed on line "
                                        f"{first[point]}")
+        if shared is not None:
+            point = shared.setdefault(point, point)
         first[point] = no
         params.append(row[0])
         points.append(point)

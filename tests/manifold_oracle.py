@@ -1,11 +1,15 @@
-"""Reference implementations of the tabulated-chart checks, of the two-atlas
-check, of the circle demo and of the product-atlas check.
+"""Reference implementations of the tabulated-chart checks, of the cover
+check, of transition maps, of the two-atlas check, of the circle demo and
+of the product-atlas check.
 
 These are the loop-based table transition check and the tabulated atlas
 check with its own cover loop and overlap filter, as the library had them
-before the cover and C1 scans were shared with the callable charts, and
-the `demo-circle` handler that checked each atlas on its own and then both
-together, so that every transition within an atlas ran twice.  The
+before the cover and C1 scans were shared with the callable charts; the
+cover loop and the transition map that call each chart's formulas point by
+point, as the library had them before an atlas held its memberships and
+coordinates as arrays; and the `demo-circle` handler that checked each
+atlas on its own and then both together, so that every transition within
+an atlas ran twice.  The
 differential tests in `test_manifold_oracle.py` require the library to
 agree with them on every report field, and the CLI on every machine line.
 The table checks divide by zero on a table whose params repeat, so the
@@ -14,7 +18,7 @@ tests draw distinct params only.  The two-atlas check is the one
 each atlas and then across them, where the library checks one atlas with
 `check_atlas` and two with `check_compatible`.  The product-atlas check
 builds every product chart and scans the whole product grid with the
-library's cover loop, where the library reads the product cover off the two
+cover loop, where the library reads the product cover off the two
 factor covers.
 """
 
@@ -120,6 +124,15 @@ def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
     return AtlasReport(cover, pairs, ok)
 
 
+def check_cover_condition(atlas: Atlas, normalize: bool = False) -> CoverReport:
+    worst, worst_point = 0.0, None
+    for p in atlas.samples:
+        deficiency = manifold.cover_deficiency_at(atlas, p, normalize)
+        if deficiency > worst:
+            worst, worst_point = deficiency, p
+    return CoverReport(worst <= atlas.tolerances.cover_eps, worst, worst_point)
+
+
 def transition_map(atlas: Atlas, j: int, l: int, atlas2: Optional[Atlas] = None) -> TransitionMap:
     """Transition from chart j to chart l (of atlas2 when given), tabulated
     over the shared samples lying in both supports."""
@@ -163,7 +176,7 @@ def check_atlas(atlas: Atlas, atlas2: Optional[Atlas] = None,
     second atlas, cross) transition C1 check."""
     if atlas2 is not None and atlas.samples != atlas2.samples:
         raise ValueError("compatibility checks require a shared sample list")
-    cover = manifold.check_cover_condition(atlas, normalize=normalize_cover)
+    cover = check_cover_condition(atlas, normalize=normalize_cover)
     pairs = []
     for src_atlas, j, l, cross in _factor_pairs(atlas, atlas2):
         try:
@@ -188,7 +201,7 @@ def check_product_atlas(a: Atlas, b: Atlas, normalize_cover: bool = False) -> At
                            None, None)
               for ca in a.charts for cb in b.charts]
     grid = Atlas(charts, [(p, q) for p in a.samples for q in b.samples], a.tolerances)
-    cover = manifold.check_cover_condition(grid, normalize=normalize_cover)
+    cover = check_cover_condition(grid, normalize=normalize_cover)
     first, second = manifold.check_atlas(a), manifold.check_atlas(b)
     return AtlasReport(cover, first.pairs + second.pairs,
                        first.transitions_ok and second.transitions_ok)

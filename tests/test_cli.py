@@ -766,6 +766,32 @@ class TestAtlasCommand:
         assert code == 2
         assert lines_of(out)["WITNESS_REASON"] == f"{c1}:101: point 0.5 already listed on line 51"
 
+    def test_a_point_both_charts_list_is_one_sample(self, tmp_path):
+        c0 = put(tmp_path, "c0.txt", "".join(f"{i / 10} {i} {i % 3} 1\n" for i in range(10)))
+        c1 = put(tmp_path, "c1.txt", "".join(f"{2 * i / 10} {i} {i % 3} 1\n" for i in range(10)))
+        code, out = run("check-atlas", c0, c1, "--format", "machine")
+        fields = lines_of(out)
+        assert (code, fields["CHARTS"], fields["TRANSITIONS"]) == (0, "2", "2")
+
+    def test_a_repeat_in_the_second_chart_names_that_chart_s_line(self, tmp_path):
+        c0 = put(tmp_path, "c0.txt", "0 0.5 1\n1 1 1\n2 2 1\n")
+        c1 = put(tmp_path, "c1.txt", "0 3 1\n1 4 1\n2 0.5 1\n3 5 1\n4 0.50 1\n")
+        code, out = run("check-atlas", c0, c1, "--format", "machine")
+        assert code == 2
+        assert lines_of(out)["WITNESS_REASON"] == f"{c1}:5: point 0.50 already listed on line 3"
+
+    @pytest.mark.parametrize("order, point", [("ab", "(-0.0,1.0)"), ("ba", "(0.0,1.0)")])
+    def test_points_match_by_value_and_keep_the_first_spelling(self, tmp_path, order, point):
+        """-0.0 and 0.0, 0.5 and 0.50 are one point; the first chart's
+        spelling names it."""
+        files = {"a": put(tmp_path, "a.txt", "0.0 -0.0 1.0 0.5\n0.1 0.5 2 1\n0.2 1 3 1\n"),
+                 "b": put(tmp_path, "b.txt", "1.0 0.0 1.0 0.5\n1.1 0.50 2 1\n1.2 1 3 1\n")}
+        code, out = run("check-atlas", *(files[c] for c in order), "--format", "machine")
+        fields = lines_of(out)
+        assert (code, fields["TRANSITIONS"], fields["TRANSITIONS_OK"]) == (1, "2", "true")
+        assert fields["WITNESS_REASON"] == "cover supremum below 1"
+        assert fields["WITNESS_AT"] == fields["COVER_WORST_POINT"] == point
+
 
 class TestToleranceValues:
     """A NaN bound fails every comparison and so switches its check off; a
@@ -1098,6 +1124,40 @@ class TestCommonDenominator:
         code, out = run("level-set", mu, f"2/{q}", "--format", "machine")
         assert code == 0
         assert lines_of(out)["MEMBERS"] == "b,c"
+
+
+class TestAtlasMemory:
+    @staticmethod
+    def circle_tables(tmp_path, n):
+        """Two smooth charts of the unit circle sampled at t = k/n: the
+        angle t off a band around t = 0, and t or t - 1 off a band around
+        t = 1/2."""
+        rows = ([], [])
+        for k in range(n):
+            t = k / n
+            point = f"{math.sin(2 * math.pi * t)!r} {math.cos(2 * math.pi * t)!r}"
+            if 0.05 <= t <= 0.95:
+                rows[0].append(f"{t!r} {point} 1.0\n")
+            if not 0.45 <= t <= 0.55:
+                rows[1].append(f"{t if t < 0.5 else t - 1.0!r} {point} 1.0\n")
+        return [put(tmp_path, f"chart{j}_{n}.txt", "".join(r)) for j, r in enumerate(rows)]
+
+    def peak_mib(self, tmp_path, n):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", TestCommonDenominator.LAUNCHER,
+                               "-m", "fuzzcheck.cli", "check-atlas",
+                               *self.circle_tables(tmp_path, n), "--format", "machine"],
+                              env=env, stdout=subprocess.PIPE)
+        assert proc.returncode == 0
+        out, _, tail = proc.stdout.rstrip(b"\n").rpartition(b"\n")
+        code, maxrss_kib = map(int, tail.split())
+        assert code == 0 and lines_of(out.decode())["VERDICT"] == "pass"
+        return maxrss_kib / 1024
+
+    def test_a_large_atlas_stays_small_in_memory(self, tmp_path):
+        """Chart tables of 16,384 rows peaked 11.5 MiB above tables of 64
+        rows while each chart kept its rows in dicts and lists of floats."""
+        assert self.peak_mib(tmp_path, 16384) - self.peak_mib(tmp_path, 64) <= 7
 
 
 class TestReadmeSynopsis:

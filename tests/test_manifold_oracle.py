@@ -6,12 +6,18 @@ command's machine output must equal the reference handler's, which checks
 each atlas on its own before checking both together.  Checking two atlases
 one by one and then with `check_compatible` must give the reference
 two-atlas check's pairs, in its order.  The product-atlas check must equal
-the reference's scan of the whole product grid."""
+the reference's scan of the whole product grid.  The cover check and the
+transition maps, which read an atlas's arrays, must equal the loops that
+call the chart formulas point by point, and must call each formula at most
+once per sample, at no sample the loops skip."""
 
 import argparse
 import contextlib
 import io
+import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -182,6 +188,78 @@ def shared_sample_atlases(draw):
 @given(shared_sample_atlases())
 def test_compatible_tabulated_matches_two_atlas_check(atlases):
     assert not _assert_matches_two_atlas_check(*atlases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0.0, 0.3, 0.75]).map(lambda eps: Tolerances(cover_eps=eps))
+       .flatmap(factors), st.booleans())
+def test_cover_matches_the_loop(atlas, normalize):
+    assert manifold.check_cover_condition(atlas, normalize) == \
+        oracle.check_cover_condition(atlas, normalize)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors(Tolerances()))
+def test_transition_maps_match_the_loop(atlas):
+    for j in range(len(atlas.charts)):
+        for l in range(len(atlas.charts)):
+            try:
+                want = oracle.transition_map(atlas, j, l)
+            except manifold.EmptyOverlapError:
+                with pytest.raises(manifold.EmptyOverlapError):
+                    manifold.transition_map(atlas, j, l)
+                continue
+            got = manifold.transition_map(atlas, j, l)
+            assert got.coords == tuple(want.coords.tolist())
+            assert got.values == tuple(want.values.tolist())
+            assert (got.source, got.target, got.seams) == (want.source, want.target, want.seams)
+
+
+def _counted(atlases, calls):
+    """The atlases with each chart's membership and coord logging
+    (formula, atlas number, chart number, point) to calls."""
+    def log(*call):
+        fn = call[-1]
+        return lambda p: (calls.append((*call[:-1], p)), fn(p))[1]
+    return [manifold.Atlas([manifold.SampledChart(c.label, log("membership", i, j, c.membership),
+                                                  log("coord", i, j, c.coord), c.coord_inverse)
+                            for j, c in enumerate(atlas.charts)],
+                           atlas.samples, atlas.tolerances, atlas.seam_points)
+            for i, atlas in enumerate(atlases)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_sample_atlases())
+def test_formulas_are_called_once_per_sample_where_the_loop_calls_them(atlases):
+    """Charts without inverse formulas, so every coord call is at a sample."""
+    mine, loops = [], []
+    _one_by_one(*_counted(atlases, mine))
+    assert max(Counter(mine).values(), default=1) == 1
+    oracle.check_atlas(*_counted(atlases, loops))
+    assert {call for call in mine if call[0] == "coord"} == \
+        {call for call in loops if call[0] == "coord"}
+
+
+FLOATS = st.floats(-4.0, 4.0).map(lambda x: round(x, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(FLOATS, st.sampled_from([math.nan, math.inf])), min_size=1,
+                max_size=12))
+def test_median_is_numpys(values):
+    got, want = manifold._median(np.array(values)), float(np.median(values))
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(FLOATS, st.sampled_from([10.0, 40.0, math.nan])), min_size=3,
+                max_size=30),
+       st.lists(FLOATS, max_size=3))
+def test_components_match_the_loop(grid, seams):
+    grid = np.sort(np.array(grid))
+    got = [grid[piece].tolist() for piece in manifold._split_components(grid, seams)]
+    want = [piece.tolist() for piece in oracle._split_components(grid, seams)]
+    assert got == want or (np.isnan(grid).any() and repr(got) == repr(want))
 
 
 def _run(argv):

@@ -5,10 +5,14 @@ seeds.
 `perfbench/oracles.py` decides each request with algorithms of its own:
 joins of meets for the closure, minimal neighbourhoods for T1 and
 Hausdorff, and level subgroups beside the pair scan for fuzzy subgroups.
-Each request runs in-process through `cli.execute`, and `perfbench/run.py`'s
-`decided` must accept its exit code, verdict, witness and named metrics.
-The sizes stay small: n <= 4 points, q <= 3, and the catalog groups the
-fixtures can name.  `perfbench/` is imported read-only.
+The atlas requests carry the verdict and metrics that their circle charts
+are built to have: smooth or kinked tables, with or without a dip in the
+cover, and the circle demo's two atlases.  Each request runs in-process
+through `cli.execute`, and `perfbench/run.py`'s `decided` must accept its
+exit code, verdict, witness and named metrics.  The sizes stay small: n <= 4
+points, q <= 3, the catalog groups the fixtures can name, at most 2,048
+chart rows and at most 512 demo samples per chart.  `perfbench/` is
+imported read-only.
 """
 
 import contextlib
@@ -48,6 +52,16 @@ MAKERS = {
     "check-t1": _topology(partial(fixtures.separation, "check-t1")),
     "check-hausdorff": _topology(partial(fixtures.separation, "check-hausdorff")),
     "check-subgroup": st.builds(fixtures.subgroup_check, st.sampled_from(CATALOG), st.booleans()),
+    # At 9 rows no sample falls in the dip's band, 0.45 <= t <= 0.55.  The
+    # kink sits at t = 1/4, a sample when 4 divides the row count; its
+    # difference quotients then jump by 2n, above lipschitz_cap 1e3 from 512
+    # rows on.
+    "check-atlas": st.one_of(
+        st.builds(fixtures.atlas_check, st.integers(10, 2048),
+                  st.sampled_from(("smooth", "dip", "dip-normalized"))),
+        st.builds(fixtures.atlas_check, st.integers(128, 512).map(lambda k: 4 * k),
+                  st.just("kink"))),
+    "demo-circle": st.builds(fixtures.demo_circle, st.integers(64, 512), st.booleans()),
 }
 
 

@@ -286,9 +286,9 @@ class TestChartTableFile:
     def test_basic(self, tmp_path):
         text = "0.0 1.0 0.0 1.0\n0.25 0.0 1.0 1.0\n0.5 -1.0 0.0 0.5\n"
         params, points, memberships = load_chart_table(write(tmp_path, "c.txt", text))
-        assert params == [0.0, 0.25, 0.5]
+        assert list(params) == [0.0, 0.25, 0.5]
         assert points[1] == (0.0, 1.0)
-        assert memberships[2] == 0.5
+        assert list(memberships) == [1.0, 1.0, 0.5]
 
     def test_membership_range(self, tmp_path):
         with pytest.raises(ParseError):
