@@ -302,8 +302,9 @@ class AtlasReport(Record):
 
 def _check_pairs(atlas: Atlas, index_pairs) -> list:
     """The C1 check of each transition j -> l whose charts overlap on the
-    samples: check_c1_tabulated over the overlap table when either chart has
-    no inverse formula, and check_c1_diffeo otherwise."""
+    samples: check_c1_tabulated's scan over the overlap table, which comes
+    sorted, when either chart has no inverse formula, and check_c1_diffeo
+    otherwise."""
     pairs = []
     for j, l in index_pairs:
         src, tgt = atlas.charts[j], atlas.charts[l]
@@ -313,7 +314,7 @@ def _check_pairs(atlas: Atlas, index_pairs) -> list:
         except EmptyOverlapError:
             continue
         if tabulated:
-            rep = check_c1_tabulated(*tr, atlas.tolerances)
+            rep = _check_c1_sorted(*tr, atlas.tolerances)
         else:
             rep = check_c1_diffeo(tr, tr.coords, atlas.tolerances, seams=tr.seams)
         pairs.append(PairCheck(src.label, tgt.label, rep))
@@ -452,7 +453,11 @@ def check_c1_tabulated(coords, values, tol: Tolerances = Tolerances()) -> C1Repo
     coords = np.asarray(coords, dtype=float)
     values = np.asarray(values, dtype=float)
     order = np.argsort(coords)
-    coords, values = coords[order], values[order]
+    return _check_c1_sorted(coords[order], values[order], tol)
+
+
+def _check_c1_sorted(coords, values, tol: Tolerances) -> C1Report:
+    """check_c1_tabulated over float arrays already ordered by coordinate."""
     if len(coords) < 3:
         return C1Report(False, "grid too small", witness=len(coords))
     # Equal values make the transition non-injective; equal coordinates

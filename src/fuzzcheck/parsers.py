@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 
 from .errors import ParseError
 from .groups import EquivalenceRelation, FiniteAction, FiniteGroup
@@ -153,7 +154,8 @@ def load_map(path) -> ProperFunction:
 
 
 def load_group(path) -> FiniteGroup:
-    """`elements: a b c ...` then one Cayley row per element."""
+    """`elements: a b c ...` then one Cayley row per element.  Every entry
+    of the table is the `elements:` line's own label."""
     elements = None
     rows = []
     for no, line in _lines(path):
@@ -162,22 +164,23 @@ def load_group(path) -> FiniteGroup:
             elements = tuple(line.split(":", 1)[1].split())
             if not elements:
                 raise ParseError(path, no, "empty element list")
-            known = set(elements)
-            if len(known) < len(elements):
+            own = dict(zip(elements, elements))  # label -> the elements line's string
+            if len(own) < len(elements):
                 dup = next(x for i, x in enumerate(elements) if x in elements[:i])
                 raise ParseError(path, no, f"duplicate element {dup!r}")
             continue
         if elements is None:
             raise ParseError(path, no, "expected 'elements:' line first")
-        row = tuple(line.split())
+        row = line.split()
         if len(row) != len(elements):
             raise ParseError(
                 path, no, f"Cayley row has {len(row)} entries, expected {len(elements)}"
             )
-        stray = next((v for v in row if v not in known), None)
-        if stray is not None:
-            raise ParseError(path, no, f"Cayley entry {stray!r} is not an element")
-        rows.append(row)
+        try:
+            rows.append(tuple(map(own.__getitem__, row)))
+        except KeyError:
+            stray = next(v for v in row if v not in own)
+            raise ParseError(path, no, f"Cayley entry {stray!r} is not an element") from None
     if elements is None:
         raise ParseError(path, 1, "missing 'elements:' line")
     if len(rows) != len(elements):
@@ -232,29 +235,40 @@ def load_topology(path) -> tuple:
 
 def load_action(path, group: FiniteGroup) -> FiniteAction:
     """One `g x -> y` line per (group element, space point) pair; the space
-    is the ordered set of points as first seen on the x side."""
-    entries = {}  # (g, x) -> (y, line number)
+    is the ordered set of points as first seen on the x side, and a y may
+    name a point first seen on a later line.  The first y that is never a
+    point, in file order, is refused before the first undefined (g, x), in
+    group x space order.  Every entry of the table is the space's own label."""
+    pos = {}  # point -> its index in the space
+    rows = {g: {} for g in group.carrier}  # per group element: point index -> y
+    pending = []  # (y, line number) for each y not yet a point when its line is read
+    intern = sys.intern  # a y that names a point is then that point's own string
     for no, line in _lines(path):
         lhs, rhs = _arrow(path, no, line, "g x -> y")
         parts = lhs.split()
         if len(parts) != 2:
             raise ParseError(path, no, "expected 'g x -> y'")
         g, x = parts
-        if g not in group.carrier:
+        row = rows.get(g)
+        if row is None:
             raise ParseError(path, no, f"{g!r} is not a group element")
-        if (g, x) in entries:
+        i = pos.setdefault(intern(x), len(pos))
+        if i in row:
             raise ParseError(path, no, f"duplicate entry for ({g!r},{x!r})")
-        entries[(g, x)] = rhs, no
-    if not entries:
+        row[i] = y = intern(rhs)
+        if y not in pos:
+            pending.append((y, no))
+    if not pos:
         raise ParseError(path, 1, "empty action file")
-    space = Carrier(tuple(dict.fromkeys(x for _, x in entries)))
-    for y, no in entries.values():
-        if y not in space:
+    for y, no in pending:
+        if y not in pos:
             raise ParseError(path, no, f"action value {y!r} is not a space point")
-    missing = [(g, x) for g in group.carrier for x in space if (g, x) not in entries]
-    if missing:
-        raise ParseError(path, 1, "action undefined at ({!r},{!r})".format(*missing[0]))
-    table = tuple(tuple(entries[g, x][0] for x in space) for g in group.carrier)
+    space = Carrier(tuple(pos))
+    for g, row in rows.items():
+        if len(row) < len(pos):
+            x = next(x for x, i in pos.items() if i not in row)
+            raise ParseError(path, 1, f"action undefined at ({g!r},{x!r})")
+    table = tuple(tuple(map(row.__getitem__, range(len(pos)))) for row in rows.values())
     return FiniteAction(group, space, FuzzySet.ones(space), table)
 
 

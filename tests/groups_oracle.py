@@ -1,9 +1,13 @@
 """The label scans that `fuzzcheck.groups` replaced, kept as differential
 oracles: every law is tested on labels through `FiniteGroup.op`,
-`FiniteGroup.inv` and `FiniteAction.act`, in carrier order."""
+`FiniteGroup.inv` and `FiniteAction.act`, in carrier order.  The group and
+action file parsers that `fuzzcheck.parsers` replaced are kept here too:
+they hold a fresh string per table cell and a `(g, x) -> (y, line)` entry
+dict."""
 
-from fuzzcheck.errors import CarrierMismatchError, DominationError
+from fuzzcheck.errors import CarrierMismatchError, DominationError, ParseError
 from fuzzcheck.groups import FiniteAction, FiniteGroup
+from fuzzcheck.parsers import _arrow, _lines, _once
 from fuzzcheck.sets import Carrier, FuzzySet, Verdict, format_grade, level_set
 from helpers import action_from_function, class_of
 
@@ -223,3 +227,64 @@ def coset_action(group: FiniteGroup, subgroup_elements) -> FiniteAction:
         return next(c for c in cosets if rep in c)
 
     return action_from_function(group, space, act)
+
+
+def load_group(path) -> FiniteGroup:
+    """`elements: a b c ...` then one Cayley row per element."""
+    elements = None
+    rows = []
+    for no, line in _lines(path):
+        if line.startswith("elements:"):
+            _once(path, no, elements, "elements:")
+            elements = tuple(line.split(":", 1)[1].split())
+            if not elements:
+                raise ParseError(path, no, "empty element list")
+            known = set(elements)
+            if len(known) < len(elements):
+                dup = next(x for i, x in enumerate(elements) if x in elements[:i])
+                raise ParseError(path, no, f"duplicate element {dup!r}")
+            continue
+        if elements is None:
+            raise ParseError(path, no, "expected 'elements:' line first")
+        row = tuple(line.split())
+        if len(row) != len(elements):
+            raise ParseError(
+                path, no, f"Cayley row has {len(row)} entries, expected {len(elements)}"
+            )
+        stray = next((v for v in row if v not in known), None)
+        if stray is not None:
+            raise ParseError(path, no, f"Cayley entry {stray!r} is not an element")
+        rows.append(row)
+    if elements is None:
+        raise ParseError(path, 1, "missing 'elements:' line")
+    if len(rows) != len(elements):
+        raise ParseError(path, 1, f"expected {len(elements)} Cayley rows, got {len(rows)}")
+    return FiniteGroup(Carrier(elements), rows)
+
+
+def load_action(path, group: FiniteGroup) -> FiniteAction:
+    """One `g x -> y` line per (group element, space point) pair; the space
+    is the ordered set of points as first seen on the x side."""
+    entries = {}  # (g, x) -> (y, line number)
+    for no, line in _lines(path):
+        lhs, rhs = _arrow(path, no, line, "g x -> y")
+        parts = lhs.split()
+        if len(parts) != 2:
+            raise ParseError(path, no, "expected 'g x -> y'")
+        g, x = parts
+        if g not in group.carrier:
+            raise ParseError(path, no, f"{g!r} is not a group element")
+        if (g, x) in entries:
+            raise ParseError(path, no, f"duplicate entry for ({g!r},{x!r})")
+        entries[(g, x)] = rhs, no
+    if not entries:
+        raise ParseError(path, 1, "empty action file")
+    space = Carrier(tuple(dict.fromkeys(x for _, x in entries)))
+    for y, no in entries.values():
+        if y not in space:
+            raise ParseError(path, no, f"action value {y!r} is not a space point")
+    missing = [(g, x) for g in group.carrier for x in space if (g, x) not in entries]
+    if missing:
+        raise ParseError(path, 1, "action undefined at ({!r},{!r})".format(*missing[0]))
+    table = tuple(tuple(entries[g, x][0] for x in space) for g in group.carrier)
+    return FiniteAction(group, space, FuzzySet.ones(space), table)

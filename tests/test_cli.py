@@ -1142,22 +1142,46 @@ class TestAtlasMemory:
                 rows[1].append(f"{t if t < 0.5 else t - 1.0!r} {point} 1.0\n")
         return [put(tmp_path, f"chart{j}_{n}.txt", "".join(r)) for j, r in enumerate(rows)]
 
-    def peak_mib(self, tmp_path, n):
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run([sys.executable, "-c", TestCommonDenominator.LAUNCHER,
-                               "-m", "fuzzcheck.cli", "check-atlas",
-                               *self.circle_tables(tmp_path, n), "--format", "machine"],
-                              env=env, stdout=subprocess.PIPE)
-        assert proc.returncode == 0
-        out, _, tail = proc.stdout.rstrip(b"\n").rpartition(b"\n")
-        code, maxrss_kib = map(int, tail.split())
-        assert code == 0 and lines_of(out.decode())["VERDICT"] == "pass"
-        return maxrss_kib / 1024
-
     def test_a_large_atlas_stays_small_in_memory(self, tmp_path):
         """Chart tables of 16,384 rows peaked 11.5 MiB above tables of 64
         rows while each chart kept its rows in dicts and lists of floats."""
-        assert self.peak_mib(tmp_path, 16384) - self.peak_mib(tmp_path, 64) <= 7
+        def peak(n):
+            return passing_peak_mib("check-atlas", *self.circle_tables(tmp_path, n))
+        assert peak(16384) - peak(64) <= 7
+
+
+def passing_peak_mib(*argv):
+    """The wait4 peak RSS, in MiB, of a CLI request that must pass, spawned
+    through TestCommonDenominator.LAUNCHER."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", TestCommonDenominator.LAUNCHER,
+                           "-m", "fuzzcheck.cli", *argv, "--format", "machine"],
+                          env=env, stdout=subprocess.PIPE)
+    assert proc.returncode == 0
+    out, _, tail = proc.stdout.rstrip(b"\n").rpartition(b"\n")
+    code, maxrss_kib = map(int, tail.split())
+    assert code == 0 and lines_of(out.decode())["VERDICT"] == "pass"
+    return maxrss_kib / 1024
+
+
+class TestActionMemory:
+    @staticmethod
+    def cyclic_files(tmp_path, n):
+        """Z_n, labelled g0 ... g(n-1), and its action on 2n points turning
+        two rings of n points, p0 ... and q0 ...."""
+        labels = [f"g{i}" for i in range(n)]
+        rows = "".join(" ".join(labels[i:] + labels[:i]) + "\n" for i in range(n))
+        action = "".join(f"g{i} {ring}{k} -> {ring}{(i + k) % n}\n"
+                         for i in range(n) for ring in "pq" for k in range(n))
+        return (put(tmp_path, f"z{n}.txt", "elements: " + " ".join(labels) + "\n" + rows),
+                put(tmp_path, f"z{n}-action.txt", action))
+
+    def test_a_large_action_stays_small_in_memory(self, tmp_path):
+        """Z120 on 240 points peaked 11.9 MiB above Z4 on 8 points while the
+        parsers kept a fresh string per cell and a (g, x) -> (y, line) dict."""
+        def peak(n):
+            return passing_peak_mib("check-action", *self.cyclic_files(tmp_path, n))
+        assert peak(120) - peak(4) <= 3
 
 
 class TestReadmeSynopsis:

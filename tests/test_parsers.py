@@ -3,7 +3,9 @@ from fractions import Fraction as F
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import groups_oracle
 from fuzzcheck.errors import ParseError
 from fuzzcheck.groups import FiniteGroup, cyclic_group, validate_group, verify_action
 from fuzzcheck.lie import bracket, validate_lie
@@ -383,6 +385,12 @@ GOLDEN = {
     "act-value": (on_z2, "0 p -> z\n1 p -> p\n", 1, "action value 'z' is not a space point"),
     "act-undefined": (on_z2, "0 p -> p\n0 q -> q\n1 p -> q\n", 1,
                       "action undefined at ('1','q')"),
+    "act-forward-value": (on_z2, "0 p -> q\n0 q -> q\n1 p -> p\n", 1,
+                          "action undefined at ('1','q')"),
+    "act-value-order": (on_z2, "0 p -> q\n0 q -> z\n1 p -> w\n1 q -> p\n", 2,
+                        "action value 'z' is not a space point"),
+    "act-undefined-order": (on_z2, "0 r -> r\n1 p -> p\n0 q -> q\n1 q -> q\n", 1,
+                            "action undefined at ('0','p')"),
     "rel-stray": (on_abc, "a z\n", 1, "'z' is not a space point"),
     "rel-empty": (on_abc, "# none\n", 1, "empty relation file"),
     "rel-two-classes": (on_abc, "a b\nb c\n", 2, "element 'b' in two classes"),
@@ -470,3 +478,134 @@ class TestLineBoundaries:
             load_fuzzy_set(str(path))
         assert err.value.line_no == line
         assert "'utf-8' codec can't decode byte" in err.value.message
+
+
+# --- group and action files against the parsers they replaced -----------------------------
+# `groups_oracle.load_group` and `load_action` hold a fresh string per cell and a
+# (g, x) -> (y, line) dict.  On any file, valid or corrupted, both versions must build equal
+# structures or raise the same `path:line: message`; a built table must hold its carrier's
+# own label strings.
+
+# Labels of two or more characters: CPython shares one object per one-character string.
+LABELS = ("ab", "cd", "ef", "gh")
+STRAYS = ("zz", "wv", "vw")
+
+
+def _outcome(loader, path, *args):
+    try:
+        return loader(path, *args)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _holds_its_own_labels(table, carrier):
+    return all(v is carrier.elements[carrier.index(v)] for row in table for v in row)
+
+
+@st.composite
+def group_files(draw):
+    """An `elements:` line, now and then with a duplicate label, and a Cayley table
+    of drawn entries, then up to four corruptions: a stray entry, a short or a long
+    row, a repeated `elements:` line, a lost row or a comment line."""
+    n = draw(st.integers(1, 4))
+    labels = LABELS[:n]
+    header = "elements: " + " ".join(labels) + draw(st.sampled_from(["", "", "", " ab"]))
+    row = st.lists(st.sampled_from(labels), min_size=n, max_size=n)
+    lines = [header] + [" ".join(draw(row)) for _ in labels]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["stray", "short", "long", "elements", "drop", "comment"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "elements":
+            lines.insert(at, header)
+        elif kind == "comment":
+            lines.insert(at, "# c")
+        elif lines:
+            at %= len(lines)
+            if kind == "drop":
+                del lines[at]
+                continue
+            words = lines[at].split()
+            if not words:
+                continue
+            if kind == "stray":
+                words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(STRAYS))
+            elif kind == "short":
+                words.pop()
+            else:
+                words.append(draw(st.sampled_from(labels + STRAYS[:1])))
+            lines[at] = " ".join(words)
+    return "".join(line + "\n" for line in lines)
+
+
+ACTION_GROUPS = [FiniteGroup(Carrier(tuple(map(str, range(n)))),
+                             tuple(tuple(str((i + j) % n) for j in range(n)) for i in range(n)))
+                 for n in (1, 2, 3)]
+
+
+@st.composite
+def action_files(draw):
+    """A group, then one `g x -> y` line per cell in a drawn order, so that a y
+    often names a point first listed on a later line; then up to five corruptions:
+    an unknown g, a repeated (g, x), stray values, a new point named first as a
+    value, a lost cell or a malformed line."""
+    group = draw(st.sampled_from(ACTION_GROUPS))
+    points = LABELS[:draw(st.integers(1, 4))]
+    value = st.sampled_from(points)
+    cells = [[g, x, draw(value)] for g in group.carrier for x in points]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["stray", "forward", "drop", "duplicate", "stray",
+                                     "forward", "drop", "malformed", "group"]))
+        at = draw(st.integers(0, max(0, len(cells) - 1)))
+        if not cells:
+            break
+        if kind == "forward":  # a new point, often named as a value before its own lines
+            new = draw(st.sampled_from(("new", "nu")))
+            cells[at][2] = new
+            if all(c[1] != new for c in cells):
+                cells += [[g, new, draw(value)] for g in group.carrier]
+        elif kind == "group":
+            cells[at][0] = draw(st.sampled_from(("7", "x")))
+        elif kind == "duplicate":
+            cells.insert(draw(st.integers(0, len(cells))), cells[at][:2] + [draw(value)])
+        elif kind == "stray":
+            cells[at][2] = draw(st.sampled_from(STRAYS))
+        elif kind == "drop":
+            del cells[at]
+        else:
+            line = draw(st.sampled_from(("0 -> ab", "0 ab ab", "0 ab cd -> ab")))
+            cells[at] = [line, None, None]
+    lines = [c[0] if c[1] is None else f"{c[0]} {c[1]} -> {c[2]}"
+             for c in draw(st.permutations(cells))]
+    return group, "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=group_files())
+@example(text="elements: ab cd\nab cd\ncd ab\n")
+@example(text="elements: ab cd\nab zz\ncd wv\n")
+@example(text="elements: ab cd\nab cd\nelements: ab cd\ncd ab\n")
+def test_group_file_matches_the_oracle(oracle_dir, text):
+    path = write(oracle_dir, "group.txt", text)
+    got = _outcome(load_group, path)
+    assert got == _outcome(groups_oracle.load_group, path)
+    if not isinstance(got, str):
+        assert _holds_its_own_labels(got.table, got.carrier)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=action_files())
+@example(case=(ACTION_GROUPS[1], "0 ab -> cd\n1 ab -> cd\n0 cd -> ab\n1 cd -> ab\n"))
+@example(case=(ACTION_GROUPS[1], "0 ab -> zz\n1 ab -> wv\n0 cd -> ab\n"))
+@example(case=(ACTION_GROUPS[1], "1 ab -> ab\n0 cd -> cd\n"))
+def test_action_file_matches_the_oracle(oracle_dir, case):
+    group, text = case
+    path = write(oracle_dir, "action.txt", text)
+    got = _outcome(load_action, path, group)
+    assert got == _outcome(groups_oracle.load_action, path, group)
+    if not isinstance(got, str):
+        assert _holds_its_own_labels(got.table, got.space)
