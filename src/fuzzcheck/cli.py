@@ -254,9 +254,7 @@ def cmd_level_set(args) -> Report:
 def cmd_check_atlas(args) -> Report:
     # A tabulated atlas has no formulas to differentiate: only these two apply.
     tol = _tolerances(args, {"cover_eps", "lipschitz_cap"})
-    shared = {}  # one tuple per point, whichever charts list it
-    tables = [load_chart_table(p, shared) for p in args.charts]
-    del shared  # the check indexes the points itself; freeing this first lowers its peak
+    tables = [load_chart_table(p) for p in args.charts]
     report = manifold.check_tabulated_atlas(tables, tol,
                                             normalize_cover=args.normalize_cover)
     rep = Report(
@@ -287,8 +285,8 @@ def cmd_check_atlas(args) -> Report:
 
 
 # A demo's cost grows linearly in its size.  At these maxima, on a 2-core VM
-# where `python -c pass` takes 0.04 s, demo-circle takes about 2.4 s and
-# 50 MiB, and demo-gl --n 4 about 3.2 s and 37 MiB.  Below 4 samples per
+# where `python -c pass` takes 0.03 s, demo-circle takes about 1.9 s and
+# 50 MiB, and demo-gl --n 4 about 3.0 s and 32 MiB.  Below 4 samples per
 # chart, psi1 and psi2 share none.
 MIN_SAMPLES_PER_CHART, MAX_SAMPLES_PER_CHART, MAX_GL_COUNT = 4, 65536, 10000
 

@@ -283,17 +283,6 @@ def quotient_action(action: FiniteAction, rho: EquivalenceRelation) -> FiniteAct
     return FiniteAction(action.group, space, FuzzySet.ones(space), table)
 
 
-def coset_action(group: FiniteGroup, subgroup_elements) -> FiniteAction:
-    """Left-translation action on left cosets of a subgroup: the quotient of
-    the left-regular action by the cosets, ordered by their least elements."""
-    check_subgroup(group, subgroup_elements).require("not a subgroup")
-    subset, elems = set(subgroup_elements), group.carrier.elements
-    hs = [h for h, x in enumerate(elems) if x in subset]
-    cosets = sorted({tuple(sorted(row[h] for h in hs)) for row in group._ints})  # each gH
-    regular = FiniteAction(group, group.carrier, FuzzySet.ones(group.carrier), group.table)
-    return quotient_action(regular, EquivalenceRelation([[elems[x] for x in c] for c in cosets]))
-
-
 # ---------------------------------------------------------------------------
 # Built-in catalog of small groups (orders <= 8).
 

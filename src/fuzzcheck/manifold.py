@@ -483,25 +483,84 @@ def _check_c1_sorted(coords, values, tol: Tolerances) -> C1Report:
     return report
 
 
+def _first_listings(columns) -> np.ndarray:
+    """Per row of equal-length coordinate columns, the first row that lists
+    the same point.  A stable lexsort brings equal points together in row
+    order; -0.0 and 0.0 are equal, as they are in a tuple."""
+    order = np.lexsort(columns)
+    begins = np.zeros(len(order), dtype=bool)  # sorted rows that begin a point
+    begins[:1] = True
+    for column in columns:
+        ordered = np.asarray(column)[order]
+        begins[1:] |= ordered[1:] != ordered[:-1]
+    heads = np.flatnonzero(begins)
+    first = np.empty_like(order)
+    first[order] = np.repeat(order[heads], np.diff(heads, append=len(order)))
+    return first
+
+
+def first_repeat(columns) -> Optional[tuple]:
+    """(row, first) for the first row whose point an earlier row lists,
+    with that earlier row, or None when every point is listed once."""
+    first = _first_listings(columns)
+    rows = np.flatnonzero(first != np.arange(len(first)))
+    return (int(rows[0]), int(first[rows[0]])) if rows.size else None
+
+
+def _number_samples(tables):
+    """Per row of the charts' rows one after another, its sample, and per
+    sample, the row of its first listing.  The samples are the distinct
+    points, numbered in the order they are first listed; the points are
+    padded with zeros to the widest and told apart by their dimension."""
+    sizes = [len(params) for params, _, _ in tables]
+    dims = [len(coords) for _, coords, _ in tables]
+    keys = [np.concatenate([np.asarray(coords[c], dtype=float) if c < d else np.zeros(n)
+                            for (_, coords, _), d, n in zip(tables, dims, sizes)])
+            for c in range(max(dims))]
+    first = _first_listings([*keys, np.repeat(dims, sizes)])
+    heads = np.flatnonzero(first == np.arange(len(first)))
+    sample = np.zeros(len(first), dtype=np.intp)
+    sample[heads] = np.arange(len(heads))
+    return sample[first], heads
+
+
+class _TabulatedSamples:
+    """The samples of a tabulated atlas: sample i is the tuple of the floats
+    of its first listing's row, built only when a witness asks for it."""
+
+    def __init__(self, tables, heads):
+        self.tables, self.heads = tables, heads
+
+    def __len__(self):
+        return len(self.heads)
+
+    def __getitem__(self, i):
+        row = int(self.heads[i])
+        for params, coords, _ in self.tables:
+            if row < len(params):
+                return tuple(float(column[row]) for column in coords)
+            row -= len(params)
+
+
 def check_tabulated_atlas(tables, tol: Tolerances = Tolerances(),
                           normalize_cover: bool = False) -> AtlasReport:
-    """Atlas checks over charts given as (params, points, memberships)
-    tables.  Rows are matched across charts by equal points, which index
-    the samples in the order they are first listed; a chart's membership is
-    0 at the samples it does not list."""
-    index, columns = {}, []  # point -> sample id; per chart, its rows' ids and columns
-    for params, points, memberships in tables:
-        ids = np.fromiter((index.setdefault(p, len(index)) for p in points), np.intp, len(points))
-        columns.append((ids, params, memberships))
-    atlas = Atlas([SampledChart(f"chart{j}", None, None, None) for j in range(len(columns))],
-                  index, tol)
-    grades, coord_columns = np.zeros((len(columns), len(index))), []
-    for row, (ids, params, memberships) in zip(grades, columns):
-        row[ids] = memberships
-        coords = np.zeros(len(index))
-        coords[ids] = params
-        coord_columns.append((coords, np.ones(len(index), dtype=bool)))
-    atlas._set(grades=grades, _coord_columns=coord_columns)
+    """Atlas checks over charts given as (params, coordinate columns,
+    memberships) tables.  Rows are matched across charts by equal points,
+    which number the samples in the order they are first listed; points of
+    different dimensions never match.  A chart's membership is 0 at the
+    samples it does not list."""
+    atlas = Atlas([SampledChart(f"chart{j}", None, None, None) for j in range(len(tables))],
+                  (), tol)
+    ids, heads = _number_samples(tables)
+    grades, coord_columns, start = np.zeros((len(tables), len(heads))), [], 0
+    for row, (params, _, memberships) in zip(grades, tables):
+        chart_ids, start = ids[start:start + len(params)], start + len(params)
+        row[chart_ids] = memberships
+        coords = np.zeros(len(heads))
+        coords[chart_ids] = params
+        coord_columns.append((coords, np.ones(len(heads), dtype=bool)))
+    atlas._set(samples=_TabulatedSamples(tables, heads), grades=grades,
+               _coord_columns=coord_columns)
     return check_atlas(atlas, normalize_cover=normalize_cover)
 
 
@@ -540,9 +599,9 @@ class GLDemoReport(Record):
                   ok=ok)
 
 
-def _random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
+def _random_invertible(uniform: Callable[[], np.ndarray]) -> np.ndarray:
     while True:
-        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        a = uniform()
         if abs(np.linalg.det(a)) >= 0.1:
             return a
 
@@ -556,7 +615,12 @@ def gl_demo(n: int, sample_count: int = 50, seed: int = 0) -> GLDemoReport:
         raise ValueError("demo is desk-scale: n must be between 1 and 4")
     if sample_count < 1:
         raise ValueError("sample count must be at least 1")
-    rng = np.random.default_rng(seed)
+    from .pcg64 import uniform_draws
+    draws = uniform_draws(seed)  # default_rng(seed)'s stream, without numpy.random
+
+    def uniform():
+        return np.fromiter(draws, float, n * n).reshape(n, n)
+
     h = 1e-5
     max_grad_err = 0.0
     max_mult = 0.0
@@ -567,7 +631,7 @@ def gl_demo(n: int, sample_count: int = 50, seed: int = 0) -> GLDemoReport:
         return _relative_error(_central(f, 0.0, h), _central(f, 0.0, h / 2.0))
 
     for _ in range(sample_count):
-        a = _random_invertible(rng, n)
+        a = _random_invertible(uniform)
         # Gradient of det vs the adjugate (cofactor) formula.
         exact = np.linalg.det(a) * np.linalg.inv(a).T
         fd = np.array([_central(lambda s: np.linalg.det(a + s * u), 0.0, h)
@@ -575,19 +639,19 @@ def gl_demo(n: int, sample_count: int = 50, seed: int = 0) -> GLDemoReport:
         max_grad_err = max(max_grad_err, _relative_error(fd, exact))
 
         # Directional-derivative stability for multiplication and inversion.
-        b = _random_invertible(rng, n)
-        e = rng.uniform(-1.0, 1.0, size=(n, n))
+        b = _random_invertible(uniform)
+        e = uniform()
         max_mult = max(max_mult, halving_residual(lambda s: (a + s * e) @ b))
         max_inv = max(max_inv, halving_residual(lambda s: np.linalg.inv(a + s * e)))
 
         # Orthogonal samples: QR factor, then closure under product/inverse.
-        q1, _ = np.linalg.qr(_random_invertible(rng, n))
-        q2, _ = np.linalg.qr(_random_invertible(rng, n))
+        q1, _ = np.linalg.qr(_random_invertible(uniform))
+        q2, _ = np.linalg.qr(_random_invertible(uniform))
         eye = np.eye(n)
         for m in (q1, q2, q1 @ q2, q1.T):
             max_orth = max(max_orth, float(np.max(np.abs(m @ m.T - eye))))
 
-    inclusion_rank = numeric_rank(lambda v: v, _random_invertible(rng, n).ravel())
+    inclusion_rank = numeric_rank(lambda v: v, _random_invertible(uniform).ravel())
     ok = (
         max_grad_err < 1e-4
         and max_mult < 1e-6

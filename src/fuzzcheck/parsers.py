@@ -63,7 +63,8 @@ def _parse(path, no, fn, *args, message=None):
 
 def _arrow(path, no, line, form):
     """The two nonempty sides of a `lhs -> rhs` line written as `form`."""
-    lhs, arrow, rhs = (part.strip() for part in line.partition("->"))
+    lhs, arrow, rhs = line.partition("->")
+    lhs, rhs = lhs.strip(), rhs.strip()
     if not (lhs and arrow and rhs):
         raise ParseError(path, no, f"expected {form!r}")
     return lhs, rhs
@@ -389,38 +390,43 @@ def load_samples(path, dim: int) -> SampleSet:
     return _parse(path, 1, SampleSet, tuple(vectors), tuple(scalars))
 
 
-def load_chart_table(path, shared=None):
+def load_chart_table(path):
     """Rows `param x y ... membership`, one per point; returns (params,
-    points, memberships), the params and memberships as array('d') columns.
-    The charts of one atlas pass one `shared` dict, which keeps the first
-    tuple read for each point, so later charts list that same tuple."""
+    coordinate columns, memberships), each column an array('d').  A point
+    listed twice is refused at its second row, before any later line's error."""
     from array import array  # numpy does not load it; importing it here spares every other request
-    params, points, memberships = array("d"), [], array("d")
-    first = {}  # point -> the line that lists it in this file
-    width = None
-    for no, line in _lines(path):
-        parts = line.split()
-        if len(parts) < 3:
-            raise ParseError(path, no, "expected 'param coords... membership'")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise ParseError(path, no, f"expected {width} columns")
-        row = _parse(path, no, list, map(float, parts), message="bad numeric value")
-        if not all(map(math.isfinite, row[:-1])):
-            raise ParseError(path, no, "param and coordinates must be finite")
-        if not 0.0 <= row[-1] <= 1.0:
-            raise ParseError(path, no, "membership outside [0,1]")
-        point = tuple(row[1:-1])
-        if point in first:
-            raise ParseError(path, no, f"point {' '.join(parts[1:-1])} already listed on line "
-                                       f"{first[point]}")
-        if shared is not None:
-            point = shared.setdefault(point, point)
-        first[point] = no
-        params.append(row[0])
-        points.append(point)
-        memberships.append(row[-1])
-    if not params:
+    columns = None
+    try:
+        for no, line in _lines(path):
+            parts = line.split()
+            if len(parts) < 3:
+                raise ParseError(path, no, "expected 'param coords... membership'")
+            if columns is None:
+                columns = [array("d") for _ in parts]
+            elif len(parts) != len(columns):
+                raise ParseError(path, no, f"expected {len(columns)} columns")
+            row = _parse(path, no, list, map(float, parts), message="bad numeric value")
+            if not all(map(math.isfinite, row[:-1])):
+                raise ParseError(path, no, "param and coordinates must be finite")
+            if not 0.0 <= row[-1] <= 1.0:
+                raise ParseError(path, no, "membership outside [0,1]")
+            for column, value in zip(columns, row):
+                column.append(value)
+    finally:
+        from .manifold import first_repeat
+        repeat = columns and first_repeat(columns[1:-1])
+        if repeat:  # a regular file is read again for the two rows' lines and the repeat's spelling
+            found = []
+            if os.path.isfile(path):
+                lines = _lines(path)
+                found = [entry for r, entry in zip(range(repeat[0] + 1), lines) if r in repeat]
+                lines.close()  # it stopped at the repeat, with the file open
+            if len(found) < 2:  # a pipe, which cannot be read again, or a file changed since
+                raise ParseError(path, 1, f"row {repeat[0] + 1} repeats the point of row "
+                                          f"{repeat[1] + 1}")
+            (first_no, _), (no, line) = found
+            raise ParseError(path, no, f"point {' '.join(line.split()[1:-1])} already listed "
+                                       f"on line {first_no}")
+    if columns is None:
         raise ParseError(path, 1, "empty chart table")
-    return params, points, memberships
+    return columns[0], columns[1:-1], columns[-1]

@@ -1,9 +1,11 @@
 """Constructors only the tests need: actions and maps built from Python
-callables and dicts, composition of maps, and the class of an element under
-a relation."""
+callables and dicts, the coset action, composition of maps, and the class of
+an element under a relation."""
 
 from fuzzcheck.errors import CarrierMismatchError
-from fuzzcheck.groups import EquivalenceRelation, FiniteAction, FiniteGroup
+from fuzzcheck.groups import (
+    EquivalenceRelation, FiniteAction, FiniteGroup, check_subgroup, quotient_action,
+)
 from fuzzcheck.maps import ProperFunction
 from fuzzcheck.sets import Carrier, FuzzySet
 
@@ -13,6 +15,17 @@ def action_from_function(group: FiniteGroup, space: Carrier, act, ambient=None) 
     ambient = ambient if ambient is not None else FuzzySet.ones(space)
     table = tuple(tuple(act(g, x) for x in space) for g in group.carrier)
     return FiniteAction(group, space, ambient, table)
+
+
+def coset_action(group: FiniteGroup, subgroup_elements) -> FiniteAction:
+    """Left-translation action on left cosets of a subgroup: the quotient of
+    the left-regular action by the cosets, ordered by their least elements."""
+    check_subgroup(group, subgroup_elements).require("not a subgroup")
+    subset, elems = set(subgroup_elements), group.carrier.elements
+    hs = [h for h, x in enumerate(elems) if x in subset]
+    cosets = sorted({tuple(sorted(row[h] for h in hs)) for row in group._ints})  # each gH
+    regular = FiniteAction(group, group.carrier, FuzzySet.ones(group.carrier), group.table)
+    return quotient_action(regular, EquivalenceRelation([[elems[x] for x in c] for c in cosets]))
 
 
 def map_from_dict(source: FuzzySet, target: FuzzySet, mapping: dict) -> ProperFunction:

@@ -9,7 +9,10 @@ cover loop and the transition map that call each chart's formulas point by
 point, as the library had them before an atlas held its memberships and
 coordinates as arrays; and the `demo-circle` handler that checked each
 atlas on its own and then both together, so that every transition within
-an atlas ran twice.  The
+an atlas ran twice; and the chart-table parser that kept each point as a
+tuple, refused a repeat through a per-file dict of first lines and shared
+one tuple per point across an atlas's charts, as the library had it before
+it kept the coordinates as columns and matched them by sorting.  The
 differential tests in `test_manifold_oracle.py` require the library to
 agree with them on every report field, and the CLI on every machine line.
 The table checks divide by zero on a table whose params repeat, so the
@@ -24,6 +27,8 @@ factor covers.
 
 from __future__ import annotations
 
+import math
+from array import array
 from itertools import permutations, product
 from typing import Optional
 
@@ -31,11 +36,48 @@ import numpy as np
 
 from fuzzcheck import manifold
 from fuzzcheck.cli import _tolerances
+from fuzzcheck.errors import ParseError
 from fuzzcheck.manifold import (
     Atlas, AtlasReport, C1Report, CoverReport, EmptyOverlapError, PairCheck, SampledChart,
     Tolerances, TransitionMap,
 )
+from fuzzcheck.parsers import _lines, _parse
 from fuzzcheck.report import Report
+
+
+def load_chart_table(path, shared=None):
+    """(params, points, memberships) of a chart table, the points as tuples;
+    the charts of one atlas pass one `shared` dict, which keeps the first
+    tuple read for each point."""
+    params, points, memberships = array("d"), [], array("d")
+    first = {}  # point -> the line that lists it in this file
+    width = None
+    for no, line in _lines(path):
+        parts = line.split()
+        if len(parts) < 3:
+            raise ParseError(path, no, "expected 'param coords... membership'")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise ParseError(path, no, f"expected {width} columns")
+        row = _parse(path, no, list, map(float, parts), message="bad numeric value")
+        if not all(map(math.isfinite, row[:-1])):
+            raise ParseError(path, no, "param and coordinates must be finite")
+        if not 0.0 <= row[-1] <= 1.0:
+            raise ParseError(path, no, "membership outside [0,1]")
+        point = tuple(row[1:-1])
+        if point in first:
+            raise ParseError(path, no, f"point {' '.join(parts[1:-1])} already listed on line "
+                                       f"{first[point]}")
+        if shared is not None:
+            point = shared.setdefault(point, point)
+        first[point] = no
+        params.append(row[0])
+        points.append(point)
+        memberships.append(row[-1])
+    if not params:
+        raise ParseError(path, 1, "empty chart table")
+    return params, points, memberships
 
 
 def _split_components(grid, seams):

@@ -15,7 +15,6 @@ from fuzzcheck.cli import execute
 from fuzzcheck.groups import (
     EquivalenceRelation,
     catalog,
-    coset_action,
     cyclic_group,
     is_G_invariant,
     is_fuzzy_subgroup,
@@ -42,7 +41,7 @@ from fuzzcheck.topology import (
     verify_axioms,
 )
 from groups_oracle import level_subgroup_oracle, subgroup_closure
-from helpers import action_from_function, compose
+from helpers import action_from_function, compose, coset_action
 
 
 def _verdict(number: int, title: str, ok: bool):

@@ -10,7 +10,6 @@ from fuzzcheck.groups import (
     FiniteGroup,
     catalog,
     check_subgroup,
-    coset_action,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -28,7 +27,7 @@ from fuzzcheck.groups import (
 from fuzzcheck.sets import Carrier, FuzzySet
 from fuzzcheck.topology import GradeLattice, generate
 from groups_oracle import level_subgroup_oracle, subgroup_closure
-from helpers import action_from_function, class_of
+from helpers import action_from_function, class_of, coset_action
 
 
 def fs(group, mapping):

@@ -16,7 +16,6 @@ from fuzzcheck.groups import (
     FiniteGroup,
     catalog,
     check_subgroup,
-    coset_action,
     cyclic_group,
     dihedral_group,
     is_fuzzy_subgroup,
@@ -29,7 +28,7 @@ from fuzzcheck.groups import (
     verify_action,
 )
 from fuzzcheck.sets import Carrier, FuzzySet
-from helpers import action_from_function
+from helpers import action_from_function, coset_action
 
 GROUPS = list(catalog().values()) + [symmetric_group(4), dihedral_group(6)]
 TABLES = [(group.carrier, group.table) for group in GROUPS]

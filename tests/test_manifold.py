@@ -211,7 +211,7 @@ class TestProductAtlas:
 class TestTabulatedCharts:
     @staticmethod
     def line_tables(n=50, corrupt=False):
-        points = tuple(f"p{i}" for i in range(n))
+        points = [tuple(float(i) for i in range(n))]  # one coordinate column
         params1 = tuple(i / n for i in range(n))
         values = [2.0 * i / n + 0.25 for i in range(n)]
         if corrupt:

@@ -14,6 +14,7 @@ once per sample, at no sample the loops skip."""
 import argparse
 import contextlib
 import io
+import itertools
 import math
 from collections import Counter
 
@@ -23,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 import manifold_oracle as oracle
 from fuzzcheck import cli, manifold
+from fuzzcheck.errors import ParseError
+from fuzzcheck.parsers import load_chart_table
 from fuzzcheck.manifold import Tolerances, check_c1_tabulated, check_tabulated_atlas
 
 STEP = 1.0 / 64.0
@@ -95,14 +98,109 @@ def test_table_check_matches_reference(table, tol):
         _fields(oracle.check_c1_tabulated(coords, values, tol))
 
 
+def _columns(table, dim=2):
+    """A (params, points, memberships) table with its points as columns."""
+    params, points, memberships = table
+    return params, [[p[c] for p in points] for c in range(dim)], memberships
+
+
+def _assert_same_atlas_reports(got, want):
+    """Equal reports, the worst point compared by repr, which tells -0.0
+    from 0.0."""
+    assert got.cover == want.cover
+    assert repr(got.cover.worst_point) == repr(want.cover.worst_point)
+    assert got.transitions_ok == want.transitions_ok
+    assert _pairs(got) == _pairs(want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(tables(), TOLERANCES, st.booleans())
 def test_tabulated_atlas_matches_reference(charts, tol, normalize):
-    got = check_tabulated_atlas(charts, tol, normalize_cover=normalize)
+    got = check_tabulated_atlas(list(map(_columns, charts)), tol, normalize_cover=normalize)
     want = oracle.check_tabulated_atlas(charts, tol, normalize_cover=normalize)
-    assert got.cover == want.cover
-    assert got.transitions_ok == want.transitions_ok
-    assert _pairs(got) == _pairs(want)
+    _assert_same_atlas_reports(got, want)
+
+
+# Spellings of a few coordinates: each value's spellings parse to equal
+# floats, and -0.0 equals 0.0 without being it.
+SPELLINGS = [["0", "0.0", "-0.0", "-0"], ["0.5", "0.50", "5e-1"], ["1", "1.0"], ["-2.25"]]
+
+
+@st.composite
+def chart_files(draw):
+    """The texts of two or three chart tables over a shared pool of points,
+    each point spelt afresh on every row, with now and then a chart of
+    another dimension, a point listed twice in one file or a malformed
+    line."""
+    dim = draw(st.integers(1, 2))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, len(SPELLINGS) - 1)] * dim),
+                         min_size=1, max_size=12, unique=True))
+    texts = []
+    for _ in range(draw(st.integers(2, 3))):
+        width = dim if draw(st.integers(0, 4)) else 3 - dim
+        idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=len(pool),
+                            unique=not draw(st.integers(0, 5))))
+        steps = draw(st.lists(st.sampled_from([1, 1, 2, 40]), min_size=len(idx),
+                              max_size=len(idx)))
+        params = [at * STEP for at in itertools.accumulate(steps)]
+        if draw(st.booleans()):
+            params = draw(st.permutations(params))
+        rows = []
+        for i, param in zip(idx, params):
+            point = (pool[i] * 2)[:width]
+            spelt = " ".join(draw(st.sampled_from(SPELLINGS[v])) for v in point)
+            grade = draw(st.sampled_from(["0", "0.25", "0.5", "1"]))
+            rows.append(f"{param!r} {spelt} {grade}\n")
+        if not draw(st.integers(0, 5)):
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(
+                ["0 x 1\n", "0 1\n", "0 0 0 0 0 1\n", "0 0 2\n"])))
+        texts.append("".join(rows))
+    return texts
+
+
+def _atlas_or_error(load, check, paths, tol, normalize):
+    try:
+        shared = {}
+        tables = [load(p, shared) if load is oracle.load_chart_table else load(p)
+                  for p in paths]
+    except ParseError as exc:
+        return str(exc)
+    return check(tables, tol, normalize_cover=normalize)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chart_files(), TOLERANCES, st.booleans())
+def test_chart_files_match_the_oracle(tmp_path_factory, texts, tol, normalize):
+    """The column parser and the sorted matching against the tuple parser
+    and the dict matching: the same error, or reports equal field by
+    field."""
+    root = tmp_path_factory.mktemp("charts")
+    paths = []
+    for j, text in enumerate(texts):
+        paths.append(root / f"chart{j}.txt")
+        paths[-1].write_text(text)
+    paths = list(map(str, paths))
+    got = _atlas_or_error(load_chart_table, check_tabulated_atlas, paths, tol, normalize)
+    want = _atlas_or_error(oracle.load_chart_table, oracle.check_tabulated_atlas, paths, tol,
+                           normalize)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_atlas_reports(got, want)
+
+
+def test_points_of_different_dimensions_never_match():
+    """(0.0,) and (0.0, 0.0), or (1.0,) and (1.0, 0.0), are different points,
+    though the wider point's extra coordinate is the zero the narrower one
+    is padded with."""
+    narrow = ([0.0, 0.5, 1.0], [[0.0, 1.0, 2.0]], [1.0, 1.0, 1.0])
+    wide = ([0.0, 0.5, 1.0], [[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]], [0.5, 0.5, 0.5])
+    tol = Tolerances()
+    got = check_tabulated_atlas([narrow, wide], tol)
+    want = oracle.check_tabulated_atlas(
+        [(p, list(zip(*c)), m) for p, c, m in (narrow, wide)], tol)
+    _assert_same_atlas_reports(got, want)
+    assert got.pairs == [] and got.cover.worst_point == (0.0, 0.0)
 
 
 # Few grades, so that dips, equal worst deficiencies within a factor and

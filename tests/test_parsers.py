@@ -1,3 +1,5 @@
+import os
+import threading
 import time
 from fractions import Fraction as F
 from functools import partial
@@ -287,9 +289,9 @@ class TestSamplesFile:
 class TestChartTableFile:
     def test_basic(self, tmp_path):
         text = "0.0 1.0 0.0 1.0\n0.25 0.0 1.0 1.0\n0.5 -1.0 0.0 0.5\n"
-        params, points, memberships = load_chart_table(write(tmp_path, "c.txt", text))
+        params, coords, memberships = load_chart_table(write(tmp_path, "c.txt", text))
         assert list(params) == [0.0, 0.25, 0.5]
-        assert points[1] == (0.0, 1.0)
+        assert [list(c) for c in coords] == [[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
         assert list(memberships) == [1.0, 1.0, 0.5]
 
     def test_membership_range(self, tmp_path):
@@ -299,6 +301,36 @@ class TestChartTableFile:
     def test_ragged_rows(self, tmp_path):
         with pytest.raises(ParseError):
             load_chart_table(write(tmp_path, "c.txt", "0 1 1\n0 1 1 1\n"))
+
+    def test_a_repeat_leaves_no_file_open(self, tmp_path):
+        """The second read stops at the repeat and closes the file, though
+        the error's traceback still holds the reader."""
+        path = write(tmp_path, "c.txt", "0 0.5 1\n1 1 1\n2 0.50 1\n3 2 1\n")
+        with pytest.raises(ParseError) as err:
+            load_chart_table(path)
+        assert err.value.line_no == 3
+        targets = [os.path.realpath(f"/proc/self/fd/{fd}") for fd in os.listdir("/proc/self/fd")]
+        assert os.path.realpath(path) not in targets
+
+    def test_a_repeat_in_a_pipe_is_refused_without_reading_it_again(self, tmp_path):
+        """A regular file is read a second time for the repeat's line and
+        spelling.  A pipe cannot be, and opening a named pipe again would
+        wait for a writer that never comes: the repeat is named by its rows."""
+        fifo = tmp_path / "c.fifo"
+        os.mkfifo(fifo)
+        outcome = []
+
+        def read():
+            try:
+                load_chart_table(str(fifo))
+            except ParseError as exc:
+                outcome.append(str(exc))
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        fifo.write_text("0 0.5 1\n1 1 1\n2 0.50 1\n")
+        reader.join(timeout=30)
+        assert outcome == [f"{fifo}:1: row 3 repeats the point of row 1"]
 
 
 # --- golden messages ---------------------------------------------------------------------
@@ -439,6 +471,10 @@ GOLDEN = {
     "chart-empty": (load_chart_table, "# none\n", 1, "empty chart table"),
     "chart-repeated-point": (load_chart_table, "0 0.5 1\n1 1 1\n2 0.50 1\n", 3,
                              "point 0.50 already listed on line 1"),
+    "chart-repeat-before-bad-line": (load_chart_table, "0 0.5 1\n1 -0 1\n2 0.50 1\n3 x 1\n",
+                                     3, "point 0.50 already listed on line 1"),
+    "chart-repeat-of-zero": (load_chart_table, "0 -0.0 1\n1 1 1\n2 0 1\n", 3,
+                             "point 0 already listed on line 1"),
 }
 
 
