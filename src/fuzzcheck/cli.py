@@ -8,7 +8,6 @@ import math
 import os
 import sys
 
-from . import lie, manifold
 from .errors import DominationError, FuzzcheckError, ParseError, ResourceCapError
 from .groups import (
     is_fuzzy_subgroup,
@@ -46,6 +45,9 @@ from .topology import (
     is_T1,
     verify_axioms,
 )
+
+# Last: manifold loads numpy, which then reuses the memory that compiling the other modules freed.
+from . import lie, manifold  # isort: skip
 
 
 def _verdict_report(command, provenance, verdict, metrics=None) -> Report:
@@ -285,8 +287,8 @@ def cmd_check_atlas(args) -> Report:
 
 
 # A demo's cost grows linearly in its size.  At these maxima, on a 2-core VM
-# where `python -c pass` takes 0.03 s, demo-circle takes about 1.9 s and
-# 50 MiB, and demo-gl --n 4 about 3.0 s and 32 MiB.  Below 4 samples per
+# where `python -c pass` takes 0.09 s, demo-circle takes about 2.6 s and
+# 49 MiB, and demo-gl --n 4 about 4.5 s and 31 MiB.  Below 4 samples per
 # chart, psi1 and psi2 share none.
 MIN_SAMPLES_PER_CHART, MAX_SAMPLES_PER_CHART, MAX_GL_COUNT = 4, 65536, 10000
 

@@ -1,8 +1,11 @@
 import argparse
+import compileall
 import contextlib
 import io
 import math
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -1028,6 +1031,23 @@ class TestEntryPoint:
         proc = spawn(script="import sys, fuzzcheck.cli; print('dataclasses' in sys.modules)")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
 
+    def test_every_fuzzcheck_module_is_imported_before_numpy(self):
+        """The import system looks a module up before it compiles it, so this
+        holds exactly when all of fuzzcheck compiles before numpy loads; see
+        TestCompileMemory for why that matters.  (sys.modules cannot tell:
+        a module moves to its end when its own imports are done.)"""
+        proc = spawn(script=(
+            "import sys\n"
+            "class Spy:\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        if name == 'numpy' or name.startswith('fuzzcheck'):\n"
+            "            print(name)\n"
+            "sys.meta_path.insert(0, Spy)\n"
+            "import fuzzcheck.cli\n"))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        names = proc.stdout.decode().split()
+        assert names[names.index("numpy"):] == ["numpy"]
+
     def test_help_is_zero(self):
         proc = spawn("--help")
         assert proc.returncode == 0
@@ -1146,16 +1166,20 @@ class TestAtlasMemory:
         """Chart tables of 16,384 rows peaked 11.5 MiB above tables of 64
         rows while each chart kept its rows in dicts and lists of floats,
         5.3 MiB above while the charts kept each point as a tuple, and 2.4
-        MiB above with the coordinates in float columns."""
+        MiB above with the coordinates in float columns.  Since the CLI
+        compiles all of fuzzcheck before numpy loads, the 64-row request
+        peaks about 1.3 MiB lower and the gap reads 3.1 MiB: the larger
+        request's data once filled the compiler's freed memory."""
         def peak(n):
             return passing_peak_mib("check-atlas", *self.circle_tables(tmp_path, n))
         assert peak(16384) - peak(64) <= 4
 
 
-def passing_peak_mib(*argv):
+def passing_peak_mib(*argv, **env):
     """The wait4 peak RSS, in MiB, of a CLI request that must pass, spawned
-    through TestCommonDenominator.LAUNCHER."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    through TestCommonDenominator.LAUNCHER with `env` added to its
+    environment."""
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
     proc = subprocess.run([sys.executable, "-c", TestCommonDenominator.LAUNCHER,
                            "-m", "fuzzcheck.cli", *argv, "--format", "machine"],
                           env=env, stdout=subprocess.PIPE)
@@ -1180,10 +1204,36 @@ class TestActionMemory:
 
     def test_a_large_action_stays_small_in_memory(self, tmp_path):
         """Z120 on 240 points peaked 11.9 MiB above Z4 on 8 points while the
-        parsers kept a fresh string per cell and a (g, x) -> (y, line) dict."""
+        parsers kept a fresh string per cell and a (g, x) -> (y, line) dict,
+        and 0.6 MiB above with one string per label.  Since the CLI compiles
+        all of fuzzcheck before numpy loads, Z4 peaks about 1.3 MiB lower
+        and Z120 about 0.1, so the gap reads 1.7 MiB."""
         def peak(n):
             return passing_peak_mib("check-action", *self.cyclic_files(tmp_path, n))
         assert peak(120) - peak(4) <= 3
+
+
+class TestCompileMemory:
+    def test_compiling_from_source_adds_little_to_the_peak(self, tmp_path):
+        """A request that compiles fuzzcheck from source peaked 1.4 MiB above
+        one that reads its bytecode while the CLI imported numpy before the
+        modules it compiled last: the compiler's freed memory then sat on
+        top of numpy's.  Each side runs a fresh copy of the package with
+        PYTHONDONTWRITEBYTECODE set, so no request writes bytecode, and only
+        the bytecode copy holds any; numpy's own cached bytecode serves both."""
+        mu = put(tmp_path, "mu.txt", "a 1\nb 1/2\nc 1/4\nd 0\n")
+        copies = {side: tmp_path / side for side in ("source", "bytecode")}
+        for copy in copies.values():
+            shutil.copytree(Path(SRC) / "fuzzcheck", copy / "fuzzcheck",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        assert compileall.compile_dir(copies["bytecode"] / "fuzzcheck", quiet=1)
+
+        def peak(side):
+            return statistics.median(
+                passing_peak_mib("level-set", mu, "1/2", PYTHONPATH=str(copies[side]),
+                                 PYTHONDONTWRITEBYTECODE="1")
+                for _ in range(5))
+        assert peak("source") - peak("bytecode") <= 0.5
 
 
 class TestReadmeSynopsis:
