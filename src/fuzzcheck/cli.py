@@ -136,7 +136,7 @@ def cmd_check_homomorphism(args) -> Report:
 def cmd_check_topology(args) -> Report:
     tau = _build_topology(args.topology, args, literal=args.literal)
     rep = _verdict_report("check-topology", "fuzzy-topology-axioms",
-                          verify_axioms(tau), metrics={"opens": len(tau.opens)})
+                          verify_axioms(tau), metrics={"opens": len(tau.keys)})
     if args.base:
         base = [load_fuzzy_set(p, carrier=tau.ambient.carrier) for p in args.base]
         bv = is_open_base(base, tau)
@@ -151,7 +151,7 @@ def cmd_check_separation(args) -> Report:
     """check-t1 and check-hausdorff."""
     tau = _build_topology(args.topology, args)
     return _verdict_report(args.command, args.provenance, args.check(tau),
-                           metrics={"opens": len(tau.opens)})
+                           metrics={"opens": len(tau.keys)})
 
 
 def cmd_check_continuity(args) -> Report:
@@ -179,7 +179,7 @@ def cmd_check_topgroup(args) -> Report:
     tau = _build_topology(args.topology, args)
     return _verdict_report("check-topgroup", "fuzzy-topological-group",
                            is_fuzzy_topological_group(group, tau, cap=args.cap),
-                           metrics={"opens": len(tau.opens)})
+                           metrics={"opens": len(tau.keys)})
 
 
 def cmd_check_action(args) -> Report:
@@ -287,8 +287,8 @@ def cmd_check_atlas(args) -> Report:
 
 
 # A demo's cost grows linearly in its size.  At these maxima, on a 2-core VM
-# where `python -c pass` takes 0.09 s, demo-circle takes about 2.6 s and
-# 49 MiB, and demo-gl --n 4 about 4.5 s and 31 MiB.  Below 4 samples per
+# where `python -c pass` takes 0.09-0.15 s, demo-circle takes about 2.6 s and
+# 49 MiB, and demo-gl --n 4 about 3.5 s and 31 MiB.  Below 4 samples per
 # chart, psi1 and psi2 share none.
 MIN_SAMPLES_PER_CHART, MAX_SAMPLES_PER_CHART, MAX_GL_COUNT = 4, 65536, 10000
 

@@ -622,6 +622,7 @@ def gl_demo(n: int, sample_count: int = 50, seed: int = 0) -> GLDemoReport:
         return np.fromiter(draws, float, n * n).reshape(n, n)
 
     h = 1e-5
+    units = np.eye(n * n).reshape(n * n, n, n)  # the unit directions of the matrix space
     max_grad_err = 0.0
     max_mult = 0.0
     max_inv = 0.0
@@ -634,8 +635,7 @@ def gl_demo(n: int, sample_count: int = 50, seed: int = 0) -> GLDemoReport:
         a = _random_invertible(uniform)
         # Gradient of det vs the adjugate (cofactor) formula.
         exact = np.linalg.det(a) * np.linalg.inv(a).T
-        fd = np.array([_central(lambda s: np.linalg.det(a + s * u), 0.0, h)
-                       for u in np.eye(n * n).reshape(n * n, n, n)]).reshape(n, n)
+        fd = _central(lambda s: np.linalg.det(a + s * units), 0.0, h).reshape(n, n)
         max_grad_err = max(max_grad_err, _relative_error(fd, exact))
 
         # Directional-derivative stability for multiplication and inversion.

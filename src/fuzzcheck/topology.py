@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .errors import CarrierMismatchError, ResourceCapError
@@ -39,59 +39,49 @@ class GradeLattice(Frozen):
         return self.q % s.den == 0
 
 
-class _IntView:
-    """A topology as the scans see it.
-
-    Grades become numerators over one scale: the lcm of q and the
-    denominators of the ambient and the opens, because a --literal family may
-    hold grades off the lattice.  Each open also gets an int code: per
-    coordinate, the rank r of its numerator among the values the opens take
-    there, written as r one-bits (a thermometer code).  The code of a
-    pointwise max of two opens is then the OR of their codes, and of a
-    pointwise min the AND.  Lattice grade k/q is numerator k * step.
-    """
-
-    def __init__(self, tau: "FuzzyTopology"):
-        carrier = tau.ambient.carrier
-        if any(s.carrier != carrier for s in tau.opens):
-            raise CarrierMismatchError("an open lives on another carrier than the ambient set")
-        self.q = q = tau.lattice.q
-        self.scale = scale = math.lcm(q, tau.ambient.den, *{s.den for s in tau.opens})
-        self.step = scale // q
-        self.ambient = tau.ambient.over(scale)
-        # Numerators over one positive scale order like the grades themselves.
-        self.opens = sorted(tau.opens, key=lambda s: s.over(scale))
-        self.keys = [s.over(scale) for s in self.opens]  # aligned with `opens`
-        self.bits = []  # per coordinate: numerator -> its bits in a code
-        offset = 0
-        for i in range(len(carrier)):
-            values = sorted({k[i] for k in self.keys})
-            self.bits.append({x: ((1 << r) - 1) << offset for r, x in enumerate(values)})
-            offset += max(len(values) - 1, 0)
-        self.codes = [self.code(k) for k in self.keys]  # aligned with `opens`
-        self.codeset = frozenset(self.codes)
-
-    def code(self, key: tuple, bits=None):
-        """The code of a numerator tuple, looked up in `bits` (by default the
-        view's own); None when some coordinate holds a value no open holds there."""
-        try:
-            return sum(b[x] for b, x in zip(bits or self.bits, key))
-        except KeyError:
-            return None
-
-    def is_open(self, key: tuple, bits=None) -> bool:
-        return self.code(key, bits) in self.codeset
-
-    def heights(self) -> list:
-        """Per carrier element x, the k with 0 < k/q <= ambient(x)."""
-        return [range(1, min(self.q, top // self.step) + 1) for top in self.ambient]
-
-
 class FuzzyTopology(Frozen):
+    """Opens on an ambient fuzzy set, each held once as the numerator tuple
+    (its key) of its grades over one scale: the lcm of q and the ambient's and
+    opens' denominators, as a --literal family may hold grades off the
+    lattice.  Grade k/q is numerator k * step; `top` is the ambient's key.
+    Each open also gets an int code: per coordinate, the rank r of its
+    numerator among the values the opens take there, as r one-bits.  The code
+    of a pointwise max of two opens is the OR of theirs, of a min the AND.
+    `opens` is the FuzzySet family the constructor was given, or is built
+    from the keys on first access; FuzzySets are made only on request."""
+
     def __init__(self, ambient: FuzzySet, opens: frozenset, lattice: GradeLattice):
         # opens: a frozenset of FuzzySet, each <= ambient
-        self._set(ambient=ambient, opens=opens, lattice=lattice)
-        self._set(_ints=_IntView(self))  # what the scans read
+        if any(s.carrier != ambient.carrier for s in opens):
+            raise CarrierMismatchError("an open lives on another carrier than the ambient set")
+        scale = math.lcm(lattice.q, ambient.den, *{s.den for s in opens})
+        self._set(opens=opens)
+        self._index(ambient, lattice, scale, [s.over(scale) for s in opens])
+
+    @classmethod
+    def _from_keys(cls, ambient: FuzzySet, keys, lattice: GradeLattice) -> "FuzzyTopology":
+        """From distinct numerator tuples over q, each <= the ambient's; builds no FuzzySet."""
+        tau = object.__new__(cls)
+        tau._index(ambient, lattice, lattice.q, keys)
+        return tau
+
+    def _index(self, ambient: FuzzySet, lattice: GradeLattice, scale: int, keys) -> None:
+        # Numerators over one positive scale order like the grades themselves.
+        keys = sorted(keys)
+        bits = []  # per coordinate: numerator -> its bits in a code
+        offset = 0
+        for i in range(len(ambient.carrier)):
+            values = sorted({k[i] for k in keys})
+            bits.append({x: ((1 << r) - 1) << offset for r, x in enumerate(values)})
+            offset += max(len(values) - 1, 0)
+        codes = [self.code(k, bits) for k in keys]  # aligned with `keys`
+        self._set(ambient=ambient, lattice=lattice, scale=scale, step=scale // lattice.q,
+                  top=ambient.over(scale), keys=keys, bits=bits, codes=codes,
+                  codeset=frozenset(codes))
+
+    @cached_property
+    def opens(self) -> frozenset:
+        return frozenset(self.sorted_opens())
 
     @classmethod
     def literal(cls, ambient: FuzzySet, opens: list, lattice: GradeLattice,
@@ -106,9 +96,28 @@ class FuzzyTopology(Frozen):
             raise ResourceCapError(f"literal topology exceeded cap of {cap} opens")
         return cls(ambient, family, lattice)
 
+    def as_set(self, key: tuple) -> FuzzySet:
+        """The open whose numerators over the scale are `key`."""
+        return FuzzySet._from_nums(self.ambient.carrier, key, self.scale)
+
     def sorted_opens(self) -> list:
         """Opens in a canonical order (by grade tuple); used for determinism."""
-        return list(self._ints.opens)
+        return [self.as_set(k) for k in self.keys]
+
+    def code(self, key: tuple, bits=None):
+        """The code of a numerator tuple, looked up in `bits` (by default the
+        topology's own); None when some coordinate holds a value no open holds there."""
+        try:
+            return sum(b[x] for b, x in zip(bits or self.bits, key))
+        except KeyError:
+            return None
+
+    def is_open(self, key: tuple, bits=None) -> bool:
+        return self.code(key, bits) in self.codeset
+
+    def heights(self) -> list:
+        """Per carrier element x, the k with 0 < k/q <= ambient(x)."""
+        return [range(1, min(self.lattice.q, a // self.step) + 1) for a in self.top]
 
 
 def _require_cap(cap: int) -> None:
@@ -160,52 +169,46 @@ def generate(
         if not lattice.contains_set(g):
             raise ValueError("generator grade outside the lattice")
 
-    q, carrier = lattice.q, ambient.carrier
+    q = lattice.q
     keys = _closure(ambient.over(q), (g.over(q) for g in generators), cap)
-    opens = frozenset(FuzzySet._from_nums(carrier, key, q) for key in keys)
-    return FuzzyTopology(ambient, opens, lattice)
+    return FuzzyTopology._from_keys(ambient, keys, lattice)
 
 
 def verify_axioms(tau: FuzzyTopology) -> Verdict:
     """Constant cuts present, closed under pairwise union and intersection."""
-    v = tau._ints
+    q, step, top = tau.lattice.q, tau.step, tau.top
     # Past the ambient's top numerator every cut is the ambient itself.
-    for k in range(min(v.q, -(-max(v.ambient) // v.step)) + 1):
-        if not v.is_open(tuple(min(k * v.step, a) for a in v.ambient)):
-            t = Fraction(k, v.q)
+    for k in range(min(q, -(-max(top) // step)) + 1):
+        if not tau.is_open(tuple(min(k * step, a) for a in top)):
+            t = Fraction(k, q)
             return Verdict.failed(
                 f"constant cut t={format_grade(t)} missing", witness=("cut", t)
             )
-    codes, codeset, opens = v.codes, v.codeset, v.opens
+    codes, codeset, keys = tau.codes, tau.codeset, tau.keys
     for i, a in enumerate(codes):
         for j in range(i, len(codes)):
             b = codes[j]
-            if a | b not in codeset:
-                return Verdict.failed(
-                    "union of two opens missing", witness=("union", opens[i], opens[j])
-                )
-            if a & b not in codeset:
-                return Verdict.failed(
-                    "intersection of two opens missing",
-                    witness=("intersection", opens[i], opens[j]),
-                )
+            if a | b not in codeset or a & b not in codeset:
+                op = "union" if a | b not in codeset else "intersection"
+                return Verdict.failed(f"{op} of two opens missing",
+                                      witness=(op, tau.as_set(keys[i]), tau.as_set(keys[j])))
     return Verdict.passed()
 
 
 def is_open_base(base, tau: FuzzyTopology) -> Verdict:
     """Every open must be the union of the base members lying under it."""
-    v = tau._ints
-    code_of = dict(zip(v.opens, v.codes))
-    try:
-        base = [code_of[b] for b in base]
-    except KeyError:
-        raise ValueError("base member is not an open of the topology") from None
-    zero = v.code((0,) * len(v.ambient))  # no open's code unless the zero set is open
-    for nu, c in zip(v.opens, v.codes):
-        # On codes, b <= nu is b & c == b, and a union is the OR.
+    carrier, scale = tau.ambient.carrier, tau.scale
+    # A set over no divisor of the scale holds a grade no open holds.
+    base = [tau.code(b.over(scale)) if b.carrier == carrier and scale % b.den == 0 else None
+            for b in base]
+    if not tau.codeset.issuperset(base):
+        raise ValueError("base member is not an open of the topology")
+    zero = tau.code((0,) * len(carrier))  # no open's code unless the zero set is open
+    for key, c in zip(tau.keys, tau.codes):
+        # On codes, b <= the open is b & c == b, and a union is the OR.
         under = [b for b in base if b & c == b]
         if (reduce(or_, under) if under else zero) != c:
-            return Verdict.failed("open is not a union of base members", witness=nu)
+            return Verdict.failed("open is not a union of base members", witness=tau.as_set(key))
     return Verdict.passed()
 
 
@@ -228,13 +231,12 @@ def product_topology(tau1: FuzzyTopology, tau2: FuzzyTopology,
 def is_T1(tau: FuzzyTopology) -> Verdict:
     """Every fuzzy point (lattice heights up to the ambient grade) is closed,
     i.e. its complement within the ambient set is open."""
-    v = tau._ints
-    for xi, (x, heights) in enumerate(zip(tau.ambient.carrier, v.heights())):
+    for xi, (x, heights) in enumerate(zip(tau.ambient.carrier, tau.heights())):
         for k in heights:
-            rest = list(v.ambient)
-            rest[xi] -= k * v.step
-            if not v.is_open(tuple(rest)):
-                t = Fraction(k, v.q)
+            rest = list(tau.top)
+            rest[xi] -= k * tau.step
+            if not tau.is_open(tuple(rest)):
+                t = Fraction(k, tau.lattice.q)
                 return Verdict.failed(
                     f"point {x!r} at height {format_grade(t)} is not closed",
                     witness=(x, t),
@@ -249,13 +251,12 @@ def is_hausdorff(tau: FuzzyTopology) -> Verdict:
     runs after x in carrier order: a pair that fails with y before x fails
     swapped, earlier, so the first witness is the one a scan of all ordered
     pairs finds."""
-    v = tau._ints
-    carrier = tau.ambient.carrier.elements
-    heights = v.heights()
-    supports = [sum(1 << i for i, g in enumerate(key) if g) for key in v.keys]
+    carrier, q, step = tau.ambient.carrier.elements, tau.lattice.q, tau.step
+    heights = tau.heights()
+    supports = [sum(1 << i for i, g in enumerate(key) if g) for key in tau.keys]
     # Distinct supports of the opens containing each fuzzy point (x, k/q).
     around = {
-        (xi, k): {m for m, key in zip(supports, v.keys) if key[xi] >= k * v.step}
+        (xi, k): {m for m, key in zip(supports, tau.keys) if key[xi] >= k * step}
         for xi, hs in enumerate(heights)
         for k in hs
     }
@@ -265,7 +266,7 @@ def is_hausdorff(tau: FuzzyTopology) -> Verdict:
             for yi, y in enumerate(carrier[xi + 1:], xi + 1):
                 for j in heights[yi]:
                     if not any(not u & w for u in us for w in around[yi, j]):
-                        tp, tq = Fraction(k, v.q), Fraction(j, v.q)
+                        tp, tq = Fraction(k, q), Fraction(j, q)
                         return Verdict.failed(
                             f"points {x!r}@{format_grade(tp)} and {y!r}@{format_grade(tq)} "
                             "admit no disjoint opens",
@@ -286,29 +287,28 @@ def check_map(f: ProperFunction, tau_src: FuzzyTopology, tau_tgt: FuzzyTopology)
         raise CarrierMismatchError("map source must be the source topology's ambient set")
     if f.target != tau_tgt.ambient:
         raise CarrierMismatchError("map target must be the target topology's ambient set")
-    vs, vt = tau_src._ints, tau_tgt._ints
-    s, t = vs.scale, vt.scale
+    s, t = tau_src.scale, tau_tgt.scale
     # Preimages and images as numerators over s*t: one that is no multiple of
     # a family's own scale is no grade of its opens, so no key of its bits.
     src_bits, tgt_bits = ([{x * k: b for x, b in xs.items()} for xs in v.bits]
-                          for v, k in ((vs, t), (vt, s)))
+                          for v, k in ((tau_src, t), (tau_tgt, s)))
     witness = None
     continuous = True
-    for nu, key in zip(vt.opens, vt.keys):
-        pulled = tuple(min(a * t, key[y] * s) for a, y in zip(vs.ambient, f._ints))
-        if not vs.is_open(pulled, src_bits):
-            continuous, witness = False, ("preimage", nu)
+    for key in tau_tgt.keys:
+        pulled = tuple(min(a * t, key[y] * s) for a, y in zip(tau_src.top, f._ints))
+        if not tau_src.is_open(pulled, src_bits):
+            continuous, witness = False, ("preimage", tau_tgt.as_set(key))
             break
     is_open = True
-    for delta, key in zip(vs.opens, vs.keys):
-        sup = [0] * len(vt.ambient)  # of delta over each fiber, over s
+    for key in tau_src.keys:
+        sup = [0] * len(tau_tgt.top)  # of the open over each fiber, over s
         for y, n in zip(f._ints, key):
             if n > sup[y]:
                 sup[y] = n
-        if not vt.is_open(tuple(n * t for n in sup), tgt_bits):
+        if not tau_tgt.is_open(tuple(n * t for n in sup), tgt_bits):
             is_open = False
             if witness is None:
-                witness = ("image", delta)
+                witness = ("image", tau_src.as_set(key))
             break
     bijective = classify(f).bijective
     return TopoMapFlags(continuous, is_open, bijective and continuous and is_open, witness)

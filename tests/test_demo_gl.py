@@ -59,3 +59,15 @@ def test_demo_gl_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_det_gradient_takes_one_det_per_side(monkeypatch):
+    """The finite-difference gradient of det evaluates all n^2 unit
+    directions in one stacked `det` call per side of the central difference,
+    not one call per direction and side (2n^2 = 32 at n = 4)."""
+    from fuzzcheck import manifold
+
+    calls, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(1) or det(a))
+    manifold.gl_demo(4, 50)
+    assert len(calls) <= 10 * 50

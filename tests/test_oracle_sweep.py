@@ -4,14 +4,17 @@ seeds.
 
 `perfbench/oracles.py` decides each request with algorithms of its own:
 joins of meets for the closure, minimal neighbourhoods for T1 and
-Hausdorff, and level subgroups beside the pair scan for fuzzy subgroups.
+Hausdorff, plain tuple scans for literal families, open bases, continuity
+and topological groups, and level subgroups beside the pair scan for fuzzy
+subgroups.
 The atlas requests carry the verdict and metrics that their circle charts
 are built to have: smooth or kinked tables, with or without a dip in the
 cover, and the circle demo's two atlases.  Each request runs in-process
 through `cli.execute`, and `perfbench/run.py`'s `decided` must accept its
 exit code, verdict, witness and named metrics.  The sizes stay small: n <= 4
-points, q <= 3, the catalog groups the fixtures can name, at most 2,048
-chart rows and at most 512 demo samples per chart.  `perfbench/` is
+points, q <= 3, cyclic groups of order <= 4 at q <= 2 for topological
+groups, the catalog groups the fixtures can name, at most 2,048 chart rows
+and at most 512 demo samples per chart.  `perfbench/` is
 imported read-only.
 """
 
@@ -51,6 +54,24 @@ MAKERS = {
     "check-topology": _topology(fixtures.topo_check),
     "check-t1": _topology(partial(fixtures.separation, "check-t1")),
     "check-hausdorff": _topology(partial(fixtures.separation, "check-hausdorff")),
+    # One open of a closure left out makes the scan fail at a pair; n = 1
+    # has no open but the cuts to leave out.
+    "check-topology/literal": st.builds(fixtures.topo_literal, st.integers(2, 4), st.integers(1, 3),
+                                        st.just(ANY_SIZE), st.booleans()),
+    # At n = q = 1 the short base would be empty, and --base takes at least one file.
+    "check-topology/base": st.builds(fixtures.topo_base, st.integers(2, 4), st.integers(1, 3),
+                                     st.booleans()),
+    # `identity` and `constant` draw topologies of 20 to 30 opens, a band
+    # that smaller sizes never reach, so their maker would not return.
+    "check-continuity": st.one_of(
+        st.builds(lambda kind, size: fixtures.continuity(kind, *size),
+                  st.sampled_from(("identity", "constant")),
+                  st.sampled_from(((3, 3), (4, 2), (4, 3)))),
+        st.builds(partial(fixtures.continuity, "indiscrete-to-discrete"), st.integers(1, 4),
+                  st.integers(1, 3))),
+    "check-topgroup": st.builds(fixtures.topgroup, st.integers(1, 4),
+                                st.sampled_from(("indiscrete", "coset", "point")),
+                                st.integers(1, 2)),
     "check-subgroup": st.builds(fixtures.subgroup_check, st.sampled_from(CATALOG), st.booleans()),
     # At 9 rows no sample falls in the dip's band, 0.45 <= t <= 0.55.  The
     # kink sits at t = 1/4, a sample when 4 divides the row count; its
@@ -92,8 +113,9 @@ def test_verdict_and_witness_match_the_oracles(command, data, work):
     except IndexError:
         # A broken subgroup grade needs an element outside the chain's first
         # subgroup; when the seed's chain starts at the whole group, the
-        # maker has none to raise.
+        # maker has none to raise.  A literal closure that holds only the
+        # cuts has no open to leave out.
         reject()
-    assert req.argv[0] == command
+    assert req.argv[0] == command.split("/")[0]  # a key may name a variant after a slash
     code, out = _execute(req.argv, work)
     assert bench.decided(req, code, out, b"", False), (req.key, req.expect, out.decode())

@@ -164,6 +164,14 @@ class TestOpenBase:
         with pytest.raises(ValueError):
             is_open_base([FuzzySet.point(AB, "a", F(1))], tau)
 
+    def test_member_off_the_scale_rejected(self):
+        # Over q = 2 the numerators of 1/3 would round down to the zero set,
+        # which is open; a grade off the scale is no open's grade.
+        tau = generate(FuzzySet.ones(AB), [], L2)
+        for member in (fs(AB, F(1, 3), 0), FuzzySet.zero(Carrier(("a", "c")))):
+            with pytest.raises(ValueError, match="base member is not an open"):
+                is_open_base([member], tau)
+
 
 class TestProductTopology:
     def test_projections_continuous(self):
@@ -273,3 +281,55 @@ class TestGuards:
                     check_map, ident, half, tau)
         self.raises(CarrierMismatchError, "map target must be the target topology's ambient set",
                     check_map, ident, tau, half)
+
+
+def discrete(n, q):
+    """The ambient, crisp points and lattice of the discrete topology on n
+    points at resolution q: (q + 1)^n opens."""
+    carrier = Carrier(tuple(f"e{i}" for i in range(n)))
+    points = [FuzzySet.point(carrier, x, 1) for x in carrier]
+    return FuzzySet.ones(carrier), points, GradeLattice(q)
+
+
+class TestOneRepresentation:
+    """A topology holds each open once, as a numerator tuple; FuzzySets are
+    built only for witnesses and for callers that read `opens`."""
+
+    def test_passing_scans_build_no_fuzzy_set(self, monkeypatch):
+        ambient, points, lattice = discrete(3, 4)
+        built = []
+        from_nums, init = FuzzySet._from_nums.__func__, FuzzySet.__init__
+        monkeypatch.setattr(FuzzySet, "_from_nums",
+                            classmethod(lambda cls, *a: built.append(a) or from_nums(cls, *a)))
+        monkeypatch.setattr(FuzzySet, "__init__",
+                            lambda self, *a: built.append(a) or init(self, *a))
+        tau = generate(ambient, points, lattice)
+        verdicts = [scan(tau) for scan in (verify_axioms, is_T1, is_hausdorff)]
+        assert all(verdicts) and len(built) == 0
+        assert len(tau.opens) == 125 and len(built) == 125  # built on first access
+
+    def test_generated_equals_constructed_from_its_opens(self):
+        rng = random.Random(31)
+        for tau in [generate(*discrete(2, 3))] + [random_topology(rng) for _ in range(20)]:
+            built = FuzzyTopology(tau.ambient, tau.opens, tau.lattice)
+            assert built == tau and tau == built
+            assert hash(built) == hash(tau)
+            assert repr(built) == repr(tau)
+            assert (built.keys, built.codes) == (tau.keys, tau.codes)
+
+    def test_generate_retains_no_fuzzy_set_per_open(self):
+        import gc
+        import tracemalloc
+
+        ambient, points, lattice = discrete(3, 12)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tau = generate(ambient, points, lattice)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.6 * 2**20
+        assert len(tau.opens) == 13**3
