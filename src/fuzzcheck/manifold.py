@@ -302,7 +302,7 @@ class AtlasReport(Record):
 
 def _check_pairs(atlas: Atlas, index_pairs) -> list:
     """The C1 check of each transition j -> l whose charts overlap on the
-    samples: check_c1_tabulated's scan over the overlap table, which comes
+    samples: _check_c1_sorted's scan over the overlap table, which comes
     sorted, when either chart has no inverse formula, and check_c1_diffeo
     otherwise."""
     pairs = []
@@ -447,17 +447,10 @@ def check_product_atlas(a: Atlas, b: Atlas, normalize_cover: bool = False) -> At
 # Tabulated user charts: no callable formulas, so derivative checks are
 # coarse difference quotients over the table itself.
 
-def check_c1_tabulated(coords, values, tol: Tolerances = Tolerances()) -> C1Report:
-    """Injectivity plus difference-quotient continuity for a transition
-    known only through a table."""
-    coords = np.asarray(coords, dtype=float)
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(coords)
-    return _check_c1_sorted(coords[order], values[order], tol)
-
-
 def _check_c1_sorted(coords, values, tol: Tolerances) -> C1Report:
-    """check_c1_tabulated over float arrays already ordered by coordinate."""
+    """Injectivity plus difference-quotient continuity for a transition
+    known only through a table, given as float arrays ordered by
+    coordinate."""
     if len(coords) < 3:
         return C1Report(False, "grid too small", witness=len(coords))
     # Equal values make the transition non-injective; equal coordinates

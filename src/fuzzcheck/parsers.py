@@ -392,28 +392,31 @@ def load_samples(path, dim: int) -> SampleSet:
 
 def load_chart_table(path):
     """Rows `param x y ... membership`, one per point; returns (params,
-    coordinate columns, memberships), each column an array('d').  A point
-    listed twice is refused at its second row, before any later line's error."""
+    coordinate columns, memberships).  The rows go one after another into
+    one row-major array('d'), and each column is a strided memoryview of
+    it, so the table grows as one buffer.  A point listed twice is refused
+    at its second row, before any later line's error."""
     from array import array  # numpy does not load it; importing it here spares every other request
-    columns = None
+    flat, width = array("d"), 0
     try:
         for no, line in _lines(path):
             parts = line.split()
             if len(parts) < 3:
                 raise ParseError(path, no, "expected 'param coords... membership'")
-            if columns is None:
-                columns = [array("d") for _ in parts]
-            elif len(parts) != len(columns):
-                raise ParseError(path, no, f"expected {len(columns)} columns")
+            if not width:
+                width = len(parts)
+            elif len(parts) != width:
+                raise ParseError(path, no, f"expected {width} columns")
             row = _parse(path, no, list, map(float, parts), message="bad numeric value")
             if not all(map(math.isfinite, row[:-1])):
                 raise ParseError(path, no, "param and coordinates must be finite")
             if not 0.0 <= row[-1] <= 1.0:
                 raise ParseError(path, no, "membership outside [0,1]")
-            for column, value in zip(columns, row):
-                column.append(value)
+            flat.extend(row)
     finally:
         from .manifold import first_repeat
+        view = memoryview(flat)
+        columns = [view[c::width] for c in range(width)]
         repeat = columns and first_repeat(columns[1:-1])
         if repeat:  # a regular file is read again for the two rows' lines and the repeat's spelling
             found = []
@@ -427,6 +430,6 @@ def load_chart_table(path):
             (first_no, _), (no, line) = found
             raise ParseError(path, no, f"point {' '.join(line.split()[1:-1])} already listed "
                                        f"on line {first_no}")
-    if columns is None:
+    if not columns:
         raise ParseError(path, 1, "empty chart table")
     return columns[0], columns[1:-1], columns[-1]

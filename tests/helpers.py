@@ -1,11 +1,15 @@
 """Constructors only the tests need: actions and maps built from Python
-callables and dicts, the coset action, composition of maps, and the class of
-an element under a relation."""
+callables and dicts, the coset action, composition of maps, the class of
+an element under a relation, and the C1 check of an unsorted transition
+table."""
+
+import numpy as np
 
 from fuzzcheck.errors import CarrierMismatchError
 from fuzzcheck.groups import (
     EquivalenceRelation, FiniteAction, FiniteGroup, check_subgroup, quotient_action,
 )
+from fuzzcheck.manifold import C1Report, Tolerances, _check_c1_sorted
 from fuzzcheck.maps import ProperFunction
 from fuzzcheck.sets import Carrier, FuzzySet
 
@@ -48,3 +52,13 @@ def class_of(rho: EquivalenceRelation, x) -> tuple:
         if x in c:
             return c
     raise KeyError(f"{x!r} not in any class")
+
+
+def check_c1_tabulated(coords, values, tol: Tolerances = Tolerances()) -> C1Report:
+    """The library's C1 scan of a transition known only through a table,
+    with its rows in any order: sorted by coordinate, then scanned as an
+    atlas scans its overlap tables."""
+    coords = np.asarray(coords, dtype=float)
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(coords)
+    return _check_c1_sorted(coords[order], values[order], tol)

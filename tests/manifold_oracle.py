@@ -34,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+import helpers
 from fuzzcheck import manifold
 from fuzzcheck.cli import _tolerances
 from fuzzcheck.errors import ParseError
@@ -227,7 +228,7 @@ def check_atlas(atlas: Atlas, atlas2: Optional[Atlas] = None,
             continue
         tol = src_atlas.tolerances
         if tr.source.coord_inverse is None or tr.target.coord_inverse is None:
-            rep = manifold.check_c1_tabulated(tr.coords, tr.values, tol)
+            rep = helpers.check_c1_tabulated(tr.coords, tr.values, tol)
         else:
             rep = manifold.check_c1_diffeo(tr, tr.coords, tol, seams=tr.seams)
         pairs.append(PairCheck(tr.source.label, tr.target.label, rep))

@@ -1168,8 +1168,13 @@ class TestAtlasMemory:
         5.3 MiB above while the charts kept each point as a tuple, and 2.4
         MiB above with the coordinates in float columns.  Since the CLI
         compiles all of fuzzcheck before numpy loads, the 64-row request
-        peaks about 1.3 MiB lower and the gap reads 3.1 MiB: the larger
-        request's data once filled the compiler's freed memory."""
+        peaks about 1.3 MiB lower and the gap read 3.0 MiB: the larger
+        request's data once filled the compiler's freed memory.  With each
+        table one row-major buffer, the gap reads 2.7 MiB (medians of 9
+        launches: 29.75 and 32.47 MiB, against 29.76 and 32.80 with one
+        buffer per column).  A table's columns grew side by side, so their
+        reallocations interleaved and left freed blocks between them; one
+        buffer grows in place."""
         def peak(n):
             return passing_peak_mib("check-atlas", *self.circle_tables(tmp_path, n))
         assert peak(16384) - peak(64) <= 4

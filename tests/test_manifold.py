@@ -10,7 +10,6 @@ from fuzzcheck.manifold import (
     Tolerances,
     check_atlas,
     check_c1_diffeo,
-    check_c1_tabulated,
     check_compatible,
     check_cover_condition,
     check_product_atlas,
@@ -22,6 +21,7 @@ from fuzzcheck.manifold import (
     numeric_rank,
     transition_map,
 )
+from helpers import check_c1_tabulated
 
 
 class TestCoverCondition:

@@ -16,6 +16,7 @@ import contextlib
 import io
 import itertools
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,8 @@ import manifold_oracle as oracle
 from fuzzcheck import cli, manifold
 from fuzzcheck.errors import ParseError
 from fuzzcheck.parsers import load_chart_table
-from fuzzcheck.manifold import Tolerances, check_c1_tabulated, check_tabulated_atlas
+from fuzzcheck.manifold import Tolerances, check_tabulated_atlas
+from helpers import check_c1_tabulated
 
 STEP = 1.0 / 64.0
 # Caps on either side of the slope changes the tables draw, so both the
@@ -187,6 +189,50 @@ def test_chart_files_match_the_oracle(tmp_path_factory, texts, tol, normalize):
         assert got == want
     else:
         _assert_same_atlas_reports(got, want)
+
+
+# Spellings of one float class each: a class's spellings parse to equal
+# floats, and the zero class holds 0.0 and -0.0, which are one point but
+# not one float.
+FLOAT_SPELLINGS = [["0", "0.0", "0e0", "-0", "-0.0", "-0e5"], ["0.5", "0.50", "5e-1", "5E-1"],
+                   ["1", "1.0", "1e0", "100e-2"], ["-2.25", "-225e-2"],
+                   ["3e-7", "0.0000003"], ["1e300", "1E+300"]]
+MEMBERSHIP_SPELLINGS = ["0", "-0", "0.0", "0.25", "0.5", "0.50", "5e-1", "1", "1.0", "1e0"]
+
+
+@st.composite
+def valid_chart_text(draw):
+    """A chart table of 1-D to 3-D points, each point listed once, with
+    every param, coordinate and membership spelt afresh."""
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(0, len(FLOAT_SPELLINGS) - 1)] * dim),
+                           min_size=1, max_size=20, unique=True))
+    spell = st.sampled_from(FLOAT_SPELLINGS).flatmap(st.sampled_from)
+    rows = []
+    for point in points:
+        coords = " ".join(draw(st.sampled_from(FLOAT_SPELLINGS[c])) for c in point)
+        rows.append(f"{draw(spell)} {coords} {draw(st.sampled_from(MEMBERSHIP_SPELLINGS))}\n")
+    return "".join(rows)
+
+
+def _bits(column):
+    """The float64 bytes of each entry, which tell -0.0 from 0.0."""
+    return [struct.pack("d", v) for v in column]
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_chart_text())
+def test_chart_columns_equal_the_oracle_bit_for_bit(tmp_path_factory, text):
+    """The columns hold the very floats the tuple parser reads, signed
+    zeros included, and all of one table's columns view one buffer."""
+    path = tmp_path_factory.mktemp("chart") / "chart.txt"
+    path.write_text(text)
+    params, coords, memberships = load_chart_table(str(path))
+    want_params, points, want_memberships = oracle.load_chart_table(str(path))
+    assert _bits(params) == _bits(want_params)
+    assert [_bits(column) for column in coords] == [_bits(column) for column in zip(*points)]
+    assert _bits(memberships) == _bits(want_memberships)
+    assert all(column.obj is params.obj for column in (*coords, memberships))
 
 
 def test_points_of_different_dimensions_never_match():
